@@ -21,6 +21,14 @@ def as_fraction(x):
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
+def parse_fraction(token):
+    """Exact rational from a file token; ValueError on any malformed one."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def as_fraction_vector(v, length=None):
     vec = tuple(as_fraction(x) for x in v)
     if length is not None and len(vec) != length:

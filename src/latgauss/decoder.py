@@ -17,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._estimator import ParamMixin
-from ._validation import check_count, check_eps
-from .advice import GaussianAdvice, advice_count, default_denom_floor
+from ._validation import check_count, check_eps, parse_fraction
+from .advice import GaussianAdvice, advice_count, default_denom_floor, read_rows, write_rows
 from .gaussian import decoding_width, sample_lattice_gaussian, smoothing_parameter
-from .lattice import LatticeBasis, format_basis, lattice_coefficients, parse_basis
+# lattice_coefficients is no longer called here; it stays importable from this
+# module because the benchmark's tracer self-test looks it up here
+from .lattice import LatticeBasis, format_basis, lattice_coefficients, parse_basis  # noqa: F401
 from .rng import stream
 
 EXACT = "exact-claimed"
@@ -146,6 +148,29 @@ def _frame_indices(advice):
     )
 
 
+def _frame_matrix(basis, frame):
+    """Coefficients of the frame rows over basis: (integer rows, denominator d).
+
+    Row j holds d * <u_j, b*_k> over the dual basis b*_k, so
+    sum_k num[j][k] b_k = d u_j; that identity is checked exactly, and a
+    frame row outside the span of the basis raises FrameAbort.
+    """
+    coeffs = [[sum(a * b for a, b in zip(u, dk)) for dk in basis.dual.rows]
+              for u in frame.rows]
+    den = math.lcm(*(c.denominator for row in coeffs for c in row))
+    num = tuple(tuple(int(c * den) for c in row) for row in coeffs)
+    for row, u in zip(num, frame.rows):
+        if basis.vector(row) != tuple(den * x for x in u):
+            raise FrameAbort("frame row lies outside the span of the basis")
+    return num, den
+
+
+def _read_fields(lines, pos, what):
+    if pos >= len(lines):
+        raise ValueError(f"decoder file ends before its {what}")
+    return lines[pos].split()
+
+
 class BddDecoder(ParamMixin):
     """Decoder for targets within a guaranteed radius of the lattice.
 
@@ -204,6 +229,7 @@ class BddDecoder(ParamMixin):
         self.vstar_indices_ = tuple(idx)
         self.vstar_ = vstar
         self.frame_ = vstar.dual
+        self._frame_num, self._frame_den = _frame_matrix(basis, self.frame_)
         self._vstar_float = advice.vectors[idx]
         self.s_eps_ = s_eps
         self.delta_max_ = dmax
@@ -223,6 +249,8 @@ class BddDecoder(ParamMixin):
             raise ValueError(
                 f"targets must have {self.basis_.ambient} coordinates, got {ts.shape[1]}"
             )
+        if not np.isfinite(ts).all():
+            raise ValueError("targets must have finite coordinates")
         floor = self.denom_floor
         if floor is None:
             floor = default_denom_floor(self.advice_.eps)
@@ -238,7 +266,7 @@ class BddDecoder(ParamMixin):
             norms = np.sqrt((cur[live] ** 2).sum(axis=1))
             for j, i in enumerate(live):
                 traces[i].append((float(norms[j]), float(vals[j])))
-            tripped = np.abs(vals) < floor
+            tripped = ~self.advice_.clears_guard(cur[live], vals, floor)
             cur[live[~tripped]] = stepped[~tripped]
             guarded_at[live[tripped]] = it
         live = np.flatnonzero(guarded_at < 0)
@@ -248,11 +276,19 @@ class BddDecoder(ParamMixin):
             for j, i in enumerate(live):
                 traces[i].append((float(norms[j]), float(vals[j])))
         rounded = cur @ self._vstar_float.T
+        if not np.isfinite(rounded).all():
+            raise ValueError("targets are too large to round against the frame")
+        cols, den = list(zip(*self._frame_num)), self._frame_den
         out = []
         for i in range(k):
             coeffs = [int(round(x)) for x in rounded[i]]
-            y = self.frame_.vector(coeffs)
-            basis_coeffs = lattice_coefficients(self.basis_, y)
+            sums = [sum(c * t for c, t in zip(coeffs, col)) for col in cols]
+            if all(x % den == 0 for x in sums):
+                basis_coeffs = tuple(x // den for x in sums)
+                y = self.basis_.vector(basis_coeffs)
+            else:
+                basis_coeffs = None
+                y = self.frame_.vector(coeffs)
             if guarded_at[i] >= 0:
                 status = GUARD
                 note = f"denominator guard tripped at iteration {guarded_at[i]}"
@@ -292,8 +328,7 @@ class BddDecoder(ParamMixin):
             fh.write("latgauss-decoder 1\n")
             fh.write(format_basis(self.basis_))
             fh.write(f"advice {len(a)} {a.eps!r} {a.seed} {a.source_scale}\n")
-            for row in a.coeffs:
-                fh.write(" ".join(str(int(c)) for c in row) + "\n")
+            write_rows(fh, a.coeffs)
             fh.write("frame " + " ".join(str(i) for i in self.vstar_indices_) + "\n")
             for row in self.frame_.rows:
                 fh.write(" ".join(str(x) for x in row) + "\n")
@@ -312,24 +347,32 @@ class BddDecoder(ParamMixin):
             lines = fh.read().splitlines()
         if not lines or lines[0].split() != ["latgauss-decoder", "1"]:
             raise ValueError(f"{path} is not a decoder file")
-        pos = 1
-        n = int(lines[pos].split()[0])
-        basis = parse_basis("\n".join(lines[pos:pos + 1 + n]))
-        pos += 1 + n
-        head = lines[pos].split()
+        head = _read_fields(lines, 1, "basis")
+        if len(head) != 2:
+            raise ValueError("decoder file basis header must read 'rank ambient'")
+        n = int(head[0])
+        if not 0 < n < len(lines) - 1:
+            raise ValueError(f"decoder file cannot hold a rank-{n} basis")
+        basis = parse_basis("\n".join(lines[1:2 + n]))
+        pos = 2 + n
+        head = _read_fields(lines, pos, "advice header")
         if len(head) != 5 or head[0] != "advice":
             raise ValueError("decoder file is missing its advice header")
-        count, eps, seed = int(head[1]), float(head[2]), int(head[3])
-        scale = Fraction(head[4])
+        count, eps, seed = check_count("advice count", head[1]), float(head[2]), int(head[3])
+        scale = parse_fraction(head[4])
         pos += 1
-        coeffs = [[int(t) for t in lines[pos + i].split()] for i in range(count)]
+        coeffs = read_rows(lines[pos:pos + count], count, n)
         pos += count
-        head = lines[pos].split()
-        if head[0] != "frame" or len(head) != 1 + n:
+        head = _read_fields(lines, pos, "frame section")
+        if len(head) != 1 + n or head[0] != "frame":
             raise ValueError("decoder file is missing its frame section")
         idx = [int(t) for t in head[1:]]
+        if not all(0 <= i < count for i in idx):
+            raise ValueError(f"frame indices must lie in [0, {count})")
         pos += 1
-        frame_rows = [[Fraction(t) for t in lines[pos + i].split()] for i in range(n)]
+        if len(lines) < pos + n or any(line.strip() for line in lines[pos + n:]):
+            raise ValueError(f"decoder file must end with {n} frame rows")
+        frame_rows = [[parse_fraction(t) for t in lines[pos + i].split()] for i in range(n)]
         dec = cls(eps=eps, n_advice=count, seed=seed)
         dec._restore(basis, coeffs, eps, seed, scale, idx, frame_rows)
         return dec
@@ -359,6 +402,7 @@ class BddDecoder(ParamMixin):
         self.vstar_indices_ = tuple(int(i) for i in idx)
         self.vstar_ = vstar
         self.frame_ = frame
+        self._frame_num, self._frame_den = _frame_matrix(basis, frame)
         self._vstar_float = advice.vectors[list(self.vstar_indices_)]
         self.s_eps_ = s_eps
         self.delta_max_ = dmax

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._validation import as_fraction_matrix, as_fraction_vector
+from ._validation import as_fraction_matrix, as_fraction_vector, parse_fraction
 
 ZERO = Fraction(0)
 
@@ -285,7 +285,7 @@ def parse_basis(text):
     body = tokens[2:]
     if len(body) != n * m:
         raise ValueError(f"expected {n * m} entries for a {n} x {m} basis, got {len(body)}")
-    rows = [[Fraction(body[i * m + j]) for j in range(m)] for i in range(n)]
+    rows = [[parse_fraction(body[i * m + j]) for j in range(m)] for i in range(n)]
     return LatticeBasis(rows, ambient=m)
 
 

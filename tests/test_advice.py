@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latgauss.advice import (
     DenominatorTooSmall,
@@ -14,7 +16,12 @@ from latgauss.advice import (
     generate_advice,
 )
 from latgauss.gaussian import PeriodicGaussian, smoothing_parameter
-from latgauss.generators import integer_identity, random_integer
+from latgauss.generators import (
+    checkerboard,
+    integer_identity,
+    random_dual_orthogonal,
+    random_integer,
+)
 from latgauss.lattice import lattice_coefficients
 
 
@@ -174,3 +181,82 @@ def test_save_records_the_source_scale(tmp_path):
     back = GaussianAdvice.load(path, basis)
     assert back.basis == basis.scaled(Fraction(3, 2))
     assert back.source_scale == Fraction(3, 2)
+
+
+# advice on a generic lattice, and on one whose dual rows are dyadic so the
+# float64 advice vectors are the exact dual vectors
+GENERIC = generate_advice(random_dual_orthogonal(3, seed=12), 1e-3, 500, seed=12)
+DYADIC = generate_advice(checkerboard(3), 1e-3, 500, seed=13)
+COORD = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6))
+U = 2.0 ** -53
+
+
+def max_norm(adv):
+    return float(np.linalg.norm(adv.vectors, axis=1).max())
+
+
+@given(st.lists(COORD, min_size=3, max_size=3))
+def test_batched_kernel_tracks_the_float64_reference(coords):
+    adv = GENERIC
+    t = np.array(coords)
+    err = adv.kernel_err(t)[0]
+    f, g = adv.f(t), adv.grad(t)
+    assert abs(adv.f_batch(t[None])[0] - f) <= err
+    stepped, vals = adv.step_batch(t, floor=0.0)
+    assert abs(vals[0] - f) <= err
+    if abs(f) > 2 * err:
+        # t + grad/(2 pi f) with the gradient within 2 pi max||w|| err and
+        # f within err, plus the float64 rounding of the sum
+        step = g / (2 * math.pi * f)
+        g_err = 2 * math.pi * max_norm(adv) * err
+        bound = (g_err + np.abs(g) * err / (abs(f) - err)) / (2 * math.pi * abs(f))
+        bound += 2 * U * (np.abs(t) + np.abs(step))
+        assert np.all(np.abs(stepped[0] - (t + step)) <= bound)
+
+
+@given(st.lists(COORD, min_size=3, max_size=3),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=3))
+def test_batched_kernel_is_periodic_over_the_lattice(coords, ks):
+    adv = DYADIC
+    t = np.array(coords)
+    y = np.array([float(x) for x in adv.basis.vector(ks)])
+    rows = np.stack([t, t + y])
+    a, b = adv.f_batch(rows)
+    # t + y is rounded to float64, which moves it by at most U per unit
+    bound = adv.kernel_err(rows).sum() + 2 * math.pi * max_norm(adv) * U * np.abs(t + y).sum()
+    assert abs(a - b) <= bound
+
+
+def test_kernel_err_is_small_near_the_lattice_and_grows_with_the_target():
+    adv = GENERIC
+    near, far = adv.kernel_err(np.array([[0.1, 0.2, 0.3], [1e12, 0.0, 0.0]]))
+    assert near < 1e-6
+    assert far > near
+
+
+def test_guard_trips_on_a_huge_target():
+    _, adv = small_advice()
+    t = np.full(3, 1e300)
+    with pytest.raises(DenominatorTooSmall):
+        adv.step(t)
+    out, vals = adv.step_batch(t)
+    assert np.array_equal(out[0], t)
+    assert not adv.clears_guard(t, vals, 0.0)[0]
+    assert adv.clears_guard(np.zeros(3), adv.f_batch(np.zeros((1, 3))), 0.5)[0]
+
+
+def test_save_load_save_gives_identical_bytes(tmp_path):
+    basis, adv = small_advice(seed=14, count=80)
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    adv.save(first)
+    GaussianAdvice.load(first, basis).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("rows", ["1 0\n0 x\n", "1 0\n0 1.5\n", "1 0\n0\n",
+                                  "1 0\n0 99999999999999999999\n"])
+def test_load_rejects_malformed_rows(tmp_path, rows):
+    path = tmp_path / "advice.txt"
+    path.write_text("2 0.001 0 1\n" + rows)
+    with pytest.raises(ValueError):
+        GaussianAdvice.load(path, integer_identity(2))

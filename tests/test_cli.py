@@ -55,6 +55,15 @@ def test_decode_accepts_space_separated_targets(tmp_path, capsys):
     assert code == 0 and "iterations =" in stdout
 
 
+def test_decode_reports_a_truncated_decoder_file(tmp_path, capsys):
+    adv = tmp_path / "dec.txt"
+    BddDecoder(1e-3, n_advice=500, seed=4).fit(random_dual_orthogonal(2, seed=4)).save(adv)
+    adv.write_text("".join(adv.read_text().splitlines(keepends=True)[:100]))
+    code, _, stderr = run(capsys, "decode", "--advice", str(adv), "--target", "0.02 0.01")
+    assert code == 2
+    assert stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("scheme", ("kannan", "master", "promise"))
 def test_reduce_schemes_print_a_vector(tmp_path, capsys, scheme):
     lat = tmp_path / "lat.txt"

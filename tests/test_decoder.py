@@ -1,6 +1,7 @@
 """Bounded-distance decoder: planning, fit/decode, persistence, the guard."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from latgauss.generators import (
     random_dual_orthogonal,
     random_integer,
 )
+from latgauss.lattice import lattice_coefficients
 from latgauss.rng import stream
 
 
@@ -233,3 +235,107 @@ def test_translation_equivariance():
     a = dec.decode(t)
     b = dec.decode(t + shift)
     assert tuple(x + y for x, y in zip(a.vector, basis.vector((2, -1)))) == b.vector
+
+
+def test_decode_coefficients_match_the_exact_membership_test():
+    basis, dec = fitted(n=3, seed=15)
+    rng = stream(15, 1)
+    members = 0
+    for res in dec.decode_batch(rng.normal(size=(20, 3))):
+        assert res.coeffs == lattice_coefficients(basis, res.vector)
+        if res.coeffs is not None:
+            members += 1
+            assert basis.vector(res.coeffs) == res.vector
+    assert members >= 10
+
+
+def write_decoder(path, basis_lines, advice_rows, frame):
+    """A hand-written decoder file: eps 1e-3, seed 0, scale 1."""
+    lines = ["latgauss-decoder 1", *basis_lines, f"advice {len(advice_rows)} 0.001 0 1",
+             *advice_rows, *frame]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_rounding_off_the_lattice_reports_no_coefficients(tmp_path):
+    # the frame rows (1/2, 0), (0, 1) span a superlattice of Z^2
+    path = tmp_path / "decoder.txt"
+    write_decoder(path, ["2 2", "1 0", "0 1"], ["2 0", "0 1"], ["frame 0 1", "1/2 0", "0 1"])
+    dec = BddDecoder.load(path)
+    res = dec.decode([0.5, 0.0])
+    assert res.vector == (Fraction(1, 2), 0)
+    assert res.coeffs is None
+    assert res.status == GUARD and res.note == "rounded output is not a lattice point"
+
+
+def test_load_rejects_a_frame_outside_the_span(tmp_path):
+    # biorthogonal to the dual row (1, 0), but not in the span of the basis
+    path = tmp_path / "decoder.txt"
+    write_decoder(path, ["1 2", "1 0"], ["1"], ["frame 0", "1 1"])
+    with pytest.raises(FrameAbort):
+        BddDecoder.load(path)
+
+
+def test_save_load_save_gives_identical_bytes(tmp_path):
+    _, dec = fitted(n=3, seed=16, n_advice=400)
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    dec.save(first)
+    BddDecoder.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_load_rejects_every_truncation(tmp_path):
+    _, dec = fitted(n=2, seed=17, n_advice=40)
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    lines = path.read_text().splitlines()
+    for k in range(len(lines)):
+        path.write_text("".join(line + "\n" for line in lines[:k]))
+        with pytest.raises(ValueError):
+            BddDecoder.load(path)
+
+
+@pytest.mark.parametrize("line, token", [
+    (1, "x"),          # basis header
+    (2, "1/0"),        # basis entry
+    (4, "-4"),         # advice count
+    (5, "1.5"),        # advice coefficient
+    (-3, "-1"),        # frame index
+    (-3, "99"),        # frame index past the advice
+    (-1, "1/0"),       # frame entry
+])
+def test_load_rejects_malformed_tokens(tmp_path, line, token):
+    _, dec = fitted(n=2, seed=17, n_advice=40)
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    lines = path.read_text().splitlines()
+    parts = lines[line].split()
+    parts[1 if line in (4, -3) else 0] = token
+    lines[line] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        BddDecoder.load(path)
+
+
+def test_load_rejects_trailing_rows(tmp_path):
+    _, dec = fitted(n=2, seed=17, n_advice=40)
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    path.write_text(path.read_text() + "1 2\n")
+    with pytest.raises(ValueError):
+        BddDecoder.load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_targets(bad):
+    _, dec = fitted(n=2, seed=18, n_advice=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            dec.decode_batch([[0.1, 0.2], [bad, 0.0]])
+
+
+def test_huge_targets_trip_the_guard():
+    _, dec = fitted(n=2, seed=18, n_advice=200)
+    res = dec.decode([1e300, -1e300])
+    assert res.status == GUARD
+    assert res.iterations_run == 0
