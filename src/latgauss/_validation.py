@@ -64,6 +64,17 @@ def check_positive(name, x):
     return x
 
 
+def as_integer(x):
+    """x as an int; ValueError unless x has an integer value."""
+    try:
+        k = int(x)
+    except (OverflowError, ValueError):
+        k = None
+    if k is None or k != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return k
+
+
 def check_count(name, k):
     k = int(k)
     if k <= 0:

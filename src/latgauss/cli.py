@@ -12,16 +12,15 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .decoder import BddDecoder
+from .decoder import BddDecoder, FrameAbort
 from .experiments import parse_config, run_experiment
 from .generators import generate_lattice
 from .lattice import read_basis, write_basis, format_basis
 from .reductions import (
+    KannanReducer,
+    MasterReducer,
+    PromiseReducer,
     bdd_inner,
-    cvp_promise_reduce,
-    kannan_reduce,
-    master_prepare,
-    master_reduce,
     oracle_inner,
     sparsify_reduce,
 )
@@ -78,25 +77,24 @@ def _cmd_decode(args):
 def _cmd_reduce(args):
     basis = read_basis(args.lattice)
     target = _parse_target(args.target, basis.ambient)
-    inner = None
     if args.inner == "oracle":
         inner = oracle_inner()
-    elif args.inner == "bdd":
-        inner = bdd_inner(alpha=args.alpha, seed=args.seed)
-    if args.scheme == "kannan":
-        out = kannan_reduce(basis, target, args.alpha, inner=inner)
-    elif args.scheme == "master":
-        advice = master_prepare(basis, g=args.g, h=args.h)
-        out = master_reduce(advice, target, args.alpha, inner=inner)
-    elif args.scheme == "promise":
-        out = cvp_promise_reduce(basis, target, inner=inner)
     else:
+        inner = bdd_inner(alpha=args.alpha, seed=args.seed)
+    if args.scheme == "sparsify":
         res = sparsify_reduce(basis, target, args.tau, inner=inner,
                               seed=args.seed, trials=args.trials, mode=args.mode)
         print("vector = " + " ".join(str(x) for x in res.vector))
         print(f"solver_hit = {int(res.ok)}")
         print(f"trials = {res.trials}")
         return 0
+    if args.scheme == "kannan":
+        red = KannanReducer(alpha=args.alpha, inner=inner)
+    elif args.scheme == "master":
+        red = MasterReducer(g=args.g, h=args.h, alpha=args.alpha, inner=inner)
+    else:
+        red = PromiseReducer(inner=inner)
+    out = red.fit(basis).reduce(target)
     print("vector = " + " ".join(str(x) for x in out))
     return 0
 
@@ -179,7 +177,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FrameAbort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -263,7 +263,7 @@ class BddDecoder(ParamMixin):
             if live.size == 0:
                 break
             stepped, vals = self.advice_.step_batch(cur[live], floor)
-            norms = np.sqrt((cur[live] ** 2).sum(axis=1))
+            norms = np.hypot.reduce(cur[live], axis=1)
             for j, i in enumerate(live):
                 traces[i].append((float(norms[j]), float(vals[j])))
             tripped = ~self.advice_.clears_guard(cur[live], vals, floor)
@@ -272,7 +272,7 @@ class BddDecoder(ParamMixin):
         live = np.flatnonzero(guarded_at < 0)
         if live.size:
             vals = self.advice_.f_batch(cur[live])
-            norms = np.sqrt((cur[live] ** 2).sum(axis=1))
+            norms = np.hypot.reduce(cur[live], axis=1)
             for j, i in enumerate(live):
                 traces[i].append((float(norms[j]), float(vals[j])))
         rounded = cur @ self._vstar_float.T

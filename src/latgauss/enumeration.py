@@ -25,6 +25,7 @@ from .lattice import (
     nearest_plane,
     project_lattice,
     sqdist,
+    sqnorm,
 )
 
 # relative slack applied to float pruning bounds; desk-scale float error is
@@ -434,7 +435,9 @@ def shortest_via_promise_cvp(basis, cvp_solver):
     For each basis row b_i, queries the sublattice where the i-th coefficient
     is doubled with target b_i; the difference b_i - answer is a nonzero
     lattice vector, and the best one over i is shortest up to the solver's
-    approximation factor. Returns the coefficient vector wrt basis.
+    approximation factor. cvp_solver(sublattice, target) returns integer
+    coefficients over the sublattice, or None on failure. Returns the
+    coefficient vector wrt basis.
     """
     n = basis.rank
     best = None
@@ -443,14 +446,12 @@ def shortest_via_promise_cvp(basis, cvp_solver):
             [tuple(2 * x for x in r) if j == i else r for j, r in enumerate(basis.rows)],
             ambient=basis.ambient,
         )
-        ans = cvp_solver(doubled, basis.rows[i])
-        if ans is None:
+        coeffs = cvp_solver(doubled, basis.rows[i])
+        if coeffs is None:
             continue
-        vec, coeffs = ans
         full = [-2 * c if j == i else -c for j, c in enumerate(coeffs)]
         full[i] += 1
-        diff = tuple(a - b for a, b in zip(basis.rows[i], vec))
-        sq = sum((x * x for x in diff), Fraction(0))
+        sq = sqnorm(basis.vector(full))
         if sq == 0:
             continue
         key = (sq, tuple(full))

@@ -30,7 +30,7 @@ from .lattice import sqdist
 from .reductions import (
     KannanReducer,
     MasterReducer,
-    cvp_promise_reduce,
+    PromiseReducer,
     sparsify_reduce,
 )
 from .rng import stream
@@ -386,7 +386,6 @@ def _run_reduction_audit(cfg):
     rows = []
     kan_bad = mas_bad = pro_bad = 0
     dims_ok = True
-    kr = mr = None
     cur = None
     for trial in range(cfg.trials):
         b_idx = trial // per_base
@@ -395,7 +394,8 @@ def _run_reduction_audit(cfg):
             basis = generate_lattice(cfg.lattice, cfg.seed + b_idx)
             kr = KannanReducer(alpha=cfg.alpha).fit(basis)
             mr = MasterReducer(g=1.0, h=0, alpha=cfg.alpha).fit(basis)
-            dims_ok &= sum(b.rank for b in mr.advice_.per_block) == basis.rank
+            pr = PromiseReducer().fit(basis)
+            dims_ok &= sum(b.rank for b in mr.blocks_) == basis.rank
         rng = stream(cfg.seed, 4, trial)
         coeffs = [int(c) for c in rng.integers(-3, 4, size=basis.rank)]
         off = _exact_offsets(rng, 1, basis, Fraction(3, 2))[0]
@@ -404,7 +404,7 @@ def _run_reduction_audit(cfg):
         for scheme, out in (
             ("kannan", kr.reduce(t)),
             ("master", mr.reduce(t)),
-            ("promise", cvp_promise_reduce(basis, t)),
+            ("promise", pr.reduce(t)),
         ):
             got = sqdist(out, t)
             if scheme == "kannan":

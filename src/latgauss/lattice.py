@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._validation import as_fraction_matrix, as_fraction_vector, parse_fraction
+from ._validation import as_fraction_matrix, as_fraction_vector, as_integer, parse_fraction
 
 ZERO = Fraction(0)
 
@@ -109,15 +109,19 @@ class LatticeBasis:
         return LatticeBasis(rows, ambient=self.ambient)
 
     def vector(self, coeffs):
-        """The exact lattice vector with the given integer coefficients."""
+        """The exact lattice vector with the given integer coefficients.
+
+        Raises ValueError for a coefficient without an integer value, so a
+        caller-supplied solver cannot turn a non-member into a member.
+        """
         if len(coeffs) != self.rank:
             raise ValueError("coefficient count must equal the rank")
         out = [ZERO] * self.ambient
         for c, row in zip(coeffs, self.rows):
-            if c:
-                c = Fraction(int(c))
+            k = as_integer(c)
+            if k:
                 for j, x in enumerate(row):
-                    out[j] += c * x
+                    out[j] += k * x
         return tuple(out)
 
     def scaled(self, factor):
@@ -254,15 +258,26 @@ def nearest_plane(basis, target):
     output deterministic; the squared error is at most sum(||b*_i||^2)/4.
     """
     t = as_fraction_vector(target, basis.ambient)
+    coeffs = _babai_prefix(basis, basis.rank, t)
+    return basis.vector(coeffs), coeffs
+
+
+def _babai_prefix(basis, k, target):
+    """Nearest-plane coefficients over the first k basis rows.
+
+    The prefix shares its Gram-Schmidt data with the full basis, and only
+    the components of the target inside the prefix span influence the
+    rounding, so no explicit projection is needed.
+    """
     gs = basis.gram_schmidt
-    coeffs = [0] * basis.rank
-    residual = t
-    for i in range(basis.rank - 1, -1, -1):
+    coeffs = [0] * k
+    residual = target
+    for i in range(k - 1, -1, -1):
         c = round(_dot(residual, gs.orthogonal[i]) / gs.sqnorms[i])
         coeffs[i] = c
         if c:
-            residual = _sub_scaled(residual, basis.rows[i], Fraction(c))
-    return basis.vector(coeffs), tuple(coeffs)
+            residual = _sub_scaled(residual, basis.rows[i], c)
+    return tuple(coeffs)
 
 
 def sqnorm(v):

@@ -1,20 +1,30 @@
 """Reductions from full closest-vector search to promise solvers.
 
-A promise solver is any callable ``solver(basis, target) -> vector`` that
-returns an exact lattice vector close to the target, or None on failure.
-``oracle_inner`` wraps the exact enumeration solver and never fails;
-``bdd_inner`` adapts a fitted decoder, surfacing its refusals as None.
-The reducers treat a failed level or trial as a removed candidate, so a
-partial solver degrades the approximation factor instead of the output's
-validity: every returned vector is an exact lattice member.
+A promise solver is any callable ``solver(basis, target)`` that returns the
+integer coefficients, over ``basis``, of a lattice vector close to the
+target, or None on failure. ``oracle_inner`` wraps the exact enumeration
+solver and never fails; ``bdd_inner`` adapts a fitted decoder, surfacing
+its refusals as None. The reducers build every vector from coefficients,
+so an answer is a lattice member by construction (a non-integer
+coefficient raises ValueError), and they treat a failed level or trial as
+a removed candidate: a partial solver degrades the approximation factor
+instead of the output's validity.
 
-Three schemes are implemented. The projection scan queries the solver on
-each tail projection of an HKZ basis, lifts the answer, and completes it
-below the cut with Babai's nearest plane. The block variant prepares
-solver state only for short slices of the projections, chained by lifting
-each answer r cuts forward. The sparsification scheme restricts to a
-random index-p sublattice coset so that the solver sees a lattice whose
-minimum distance is large relative to the target distance.
+Each scheme is an estimator: ``fit(basis)`` prepares the reduced basis
+and the solver lattices once, and ``reduce(target)`` answers a query::
+
+    red = KannanReducer(alpha=Fraction(1, 2), inner=oracle_inner()).fit(basis)
+    vec = red.reduce(target)
+
+Three schemes are implemented. The projection scan (KannanReducer, and
+PromiseReducer, which also builds its basis through the solver) queries
+the solver on each tail projection of an HKZ basis, lifts the answer, and
+completes it below the cut with Babai's nearest plane. The block variant
+(MasterReducer) prepares solver state only for short slices of the
+projections, chained by lifting each answer r cuts forward. The
+sparsification scheme restricts to a random index-p sublattice coset so
+that the solver sees a lattice whose minimum distance is large relative
+to the target distance.
 """
 
 from __future__ import annotations
@@ -34,10 +44,8 @@ from .enumeration import (
     shortest_via_promise_cvp,
 )
 from .lattice import (
-    ZERO,
     LatticeBasis,
-    _dot,
-    _sub_scaled,
+    _babai_prefix,
     lattice_coefficients,
     nearest_plane,
     project_away_from_prefix,
@@ -55,7 +63,7 @@ def oracle_inner(budget=None):
     """
 
     def solve(basis, target):
-        return closest_vector(basis, target, budget=budget)[0]
+        return closest_vector(basis, target, budget=budget)[1]
 
     return solve
 
@@ -65,7 +73,7 @@ def bdd_inner(alpha=0.15, seed=0, advice_factor=2.0, budget=None):
 
     Decoder parameters come from bdd_param_plan(alpha, rank). A decode
     that trips the denominator guard reports failure (None) rather than
-    handing back a vector without its certificate.
+    handing back coefficients without their certificate.
     """
     check_positive("alpha", alpha)
     fitted = {}
@@ -77,97 +85,62 @@ def bdd_inner(alpha=0.15, seed=0, advice_factor=2.0, budget=None):
             dec = BddDecoder(eps=eps, n_advice=count, seed=seed, budget=budget).fit(basis)
             fitted[basis] = dec
         res = dec.decode([float(x) for x in target])
-        return res.vector if res.status == EXACT else None
+        return res.coeffs if res.status == EXACT else None
 
     return solve
 
 
-@dataclass(frozen=True)
-class KannanAdvice:
-    """HKZ basis plus the tail projections handed to the inner solver.
+def _solver(inner, budget):
+    return inner if inner is not None else oracle_inner(budget)
 
-    per_level[i] is the rank n-i lattice obtained by projecting away the
-    first i basis rows, for i = 0..n; the last entry has rank 0.
+
+def _complete(hkz, t, tails):
+    """Lift each cut's answer, complete it with Babai below the cut; nearest wins.
+
+    tails yields (i, tail) pairs: tail holds the coefficients of hkz rows
+    i..n-1 found at cut i, or None when the solver failed there. The cut
+    at i = n (tail ()) is the plain Babai point, so with it among the cuts
+    a vector is always returned. Distances are compared exactly.
     """
-
-    hkz: LatticeBasis
-    per_level: tuple
-
-
-def kannan_prepare(basis, budget=None):
-    """Advice for kannan_reduce: HKZ basis and all tail projections."""
-    hkz = hkz_reduce(basis, budget=budget)
-    levels = tuple(project_lattice(hkz, i) for i in range(hkz.rank + 1))
-    return KannanAdvice(hkz, levels)
-
-
-def _prefix_babai(hkz, i, target):
-    """Babai's nearest-plane point using only the first i basis rows.
-
-    The prefix shares its Gram-Schmidt data with the full basis, and only
-    the components of the target inside the prefix span influence the
-    rounding, so no explicit projection is needed.
-    """
-    gs = hkz.gram_schmidt
-    resid = tuple(target)
-    out = (ZERO,) * hkz.ambient
-    for j in range(i - 1, -1, -1):
-        c = round(_dot(resid, gs.orthogonal[j]) / gs.sqnorms[j])
-        if c:
-            step = Fraction(c)
-            resid = _sub_scaled(resid, hkz.rows[j], step)
-            out = tuple(a + step * b for a, b in zip(out, hkz.rows[j]))
-    return out
-
-
-def _scan(hkz, levels, target, inner):
-    """Query the solver at every cut, lift, complete with Babai; nearest wins.
-
-    The cut at full rank never fails (its projection is the zero lattice
-    and the candidate is the plain Babai point), so a vector is always
-    returned. Distances are compared exactly.
-    """
-    t = as_fraction_vector(target, hkz.ambient)
     best = None
-    for i, level in enumerate(levels):
-        if level.rank == 0:
-            y = (ZERO,) * hkz.ambient
-        else:
-            x = inner(level, project_away_from_prefix(hkz, i, t))
-            if x is None:
-                continue
-            coeffs = lattice_coefficients(level, x)
-            if coeffs is None:
-                continue
-            y = hkz.vector((0,) * i + tuple(coeffs))
-        resid = tuple(a - b for a, b in zip(t, y))
-        z = _prefix_babai(hkz, i, resid)
-        cand = tuple(a + b for a, b in zip(y, z))
+    for i, tail in tails:
+        if tail is None:
+            continue
+        tail = tuple(tail)
+        y = hkz.vector((0,) * i + tail)
+        head = _babai_prefix(hkz, i, tuple(a - b for a, b in zip(t, y)))
+        cand = hkz.vector(head + tail)
         score = sqdist(cand, t)
         if best is None or score < best[0]:
             best = (score, cand)
     return best[1]
 
 
-def kannan_reduce(basis, target, alpha, inner=None, advice=None, budget=None):
+def _levels(hkz):
+    """The tail projections: entry i projects away the first i rows (rank n-i)."""
+    return tuple(project_lattice(hkz, i) for i in range(hkz.rank + 1))
+
+
+def _scan(hkz, levels, target, inner):
+    """Query the solver on every tail projection, then complete the answers."""
+    t = as_fraction_vector(target, hkz.ambient)
+    tails = (
+        (i, () if level.rank == 0 else inner(level, project_away_from_prefix(hkz, i, t)))
+        for i, level in enumerate(levels)
+    )
+    return _complete(hkz, t, tails)
+
+
+class KannanReducer(ParamMixin):
     """Closest-vector approximation through promise queries at every cut.
 
+    fit computes the HKZ basis (hkz_) and its tail projections (levels_).
     alpha records the promise the inner solver honors (distance below
     alpha * lambda_1 of each projection); it enters the guarantee, not the
     computation. With a solver of factor gamma the output is within
     max_i sqrt(gamma(n-i)^2 + i/(4 alpha^2)) of the true distance, taking
     gamma(0) = 0.
     """
-    check_positive("alpha", alpha)
-    if inner is None:
-        inner = oracle_inner(budget)
-    if advice is None:
-        advice = kannan_prepare(basis, budget=budget)
-    return _scan(advice.hkz, advice.per_level, target, inner)
-
-
-class KannanReducer(ParamMixin):
-    """Estimator form of kannan_reduce; fit computes the advice once."""
 
     def __init__(self, alpha=0.5, inner=None, budget=None):
         self.alpha = alpha
@@ -176,28 +149,12 @@ class KannanReducer(ParamMixin):
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        self.advice_ = kannan_prepare(basis, budget=self.budget)
+        self.hkz_ = hkz_reduce(basis, budget=self.budget)
+        self.levels_ = _levels(self.hkz_)
         return self
 
     def reduce(self, target):
-        inner = self.inner if self.inner is not None else oracle_inner(self.budget)
-        return _scan(self.advice_.hkz, self.advice_.per_level, target, inner)
-
-
-@dataclass(frozen=True)
-class MasterAdvice:
-    """HKZ basis, cut indices, and the block lattices prepared per cut.
-
-    indices decrease from the rank to 0. Block k is the projection at cut
-    i_k of basis rows i_k+1 .. i_{max(k-r,0)}, so each row appears in at
-    most r blocks and the block dimensions sum to at most rank * r.
-    """
-
-    hkz: LatticeBasis
-    indices: tuple
-    r: int
-    c: Fraction
-    per_block: tuple
+        return _scan(self.hkz_, self.levels_, target, _solver(self.inner, self.budget))
 
 
 def master_indices(hkz, g, h):
@@ -231,98 +188,17 @@ def master_indices(hkz, g, h):
     return tuple(indices)
 
 
-def master_prepare(basis, g=1.0, h=0, budget=None):
-    """Advice for master_reduce: HKZ basis, cut indices, block lattices."""
-    hkz = hkz_reduce(basis, budget=budget)
-    indices = master_indices(hkz, g, h)
-    r = int(h) + 1
-    blocks = []
-    for k, ik in enumerate(indices):
-        hi = indices[max(k - r, 0)]
-        rows = [project_away_from_prefix(hkz, ik, hkz.rows[j]) for j in range(ik, hi)]
-        blocks.append(LatticeBasis(rows, ambient=hkz.ambient))
-    return MasterAdvice(hkz, indices, r, as_fraction(g), tuple(blocks))
-
-
-def _block_solutions(advice, levels, t, inner):
-    """Per-cut answers in the projected lattices, chained through blocks.
-
-    For k <= r the block is the whole projection and the solver answers
-    directly. Deeper cuts lift the answer from r cuts back into the block
-    coset and query the solver on the residual; failures propagate to the
-    cuts that depend on them.
-    """
-    hkz = advice.hkz
-    idx = advice.indices
-    xs = []
-    for k, ik in enumerate(idx):
-        level = levels[k]
-        if level.rank == 0:
-            xs.append((ZERO,) * hkz.ambient)
-            continue
-        pt = project_away_from_prefix(hkz, ik, t)
-        if k <= advice.r:
-            xs.append(inner(advice.per_block[k], pt))
-            continue
-        prev = xs[k - advice.r]
-        if prev is None:
-            xs.append(None)
-            continue
-        coeffs = lattice_coefficients(levels[k - advice.r], prev)
-        if coeffs is None:
-            xs.append(None)
-            continue
-        shift = idx[k - advice.r] - ik
-        y = level.vector((0,) * shift + tuple(coeffs))
-        w = inner(advice.per_block[k], tuple(a - b for a, b in zip(pt, y)))
-        if w is None:
-            xs.append(None)
-            continue
-        xs.append(tuple(a + b for a, b in zip(w, y)))
-    return xs
-
-
-def _block_query(advice, levels, target, inner):
-    hkz = advice.hkz
-    t = as_fraction_vector(target, hkz.ambient)
-    xs = _block_solutions(advice, levels, t, inner)
-    best = None
-    for k, ik in enumerate(advice.indices):
-        x = xs[k]
-        if x is None:
-            continue
-        if levels[k].rank == 0:
-            y = (ZERO,) * hkz.ambient
-        else:
-            coeffs = lattice_coefficients(levels[k], x)
-            if coeffs is None:
-                continue
-            y = hkz.vector((0,) * ik + tuple(coeffs))
-        resid = tuple(a - b for a, b in zip(t, y))
-        z = _prefix_babai(hkz, ik, resid)
-        cand = tuple(a + b for a, b in zip(y, z))
-        score = sqdist(cand, t)
-        if best is None or score < best[0]:
-            best = (score, cand)
-    return best[1]
-
-
-def master_reduce(advice, target, alpha, inner=None, budget=None):
+class MasterReducer(ParamMixin):
     """Closest-vector approximation with block-prepared promise queries.
 
-    Same contract as kannan_reduce, but the solver state covers only the
-    block lattices in the advice; the achieved factor is within
+    fit computes the HKZ basis (hkz_), the cut indices (indices_, from the
+    rank down to 0) and one block lattice per cut (blocks_). With r = h + 1,
+    block k is the projection at cut i_k of rows i_k .. i_{max(k-r,0)} - 1,
+    so each row appears in at most r blocks and the block dimensions sum
+    to at most rank * r. Same contract as KannanReducer, but the solver
+    state covers only the blocks; the achieved factor is within
     c * sqrt(n) / (2 alpha) when the solver honors its promise.
     """
-    check_positive("alpha", alpha)
-    if inner is None:
-        inner = oracle_inner(budget)
-    levels = tuple(project_lattice(advice.hkz, ik) for ik in advice.indices)
-    return _block_query(advice, levels, target, inner)
-
-
-class MasterReducer(ParamMixin):
-    """Estimator form of master_reduce; fit prepares blocks and projections."""
 
     def __init__(self, g=1.0, h=0, alpha=0.5, inner=None, budget=None):
         self.g = g
@@ -333,66 +209,73 @@ class MasterReducer(ParamMixin):
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        self.advice_ = master_prepare(basis, self.g, self.h, budget=self.budget)
-        self.levels_ = tuple(
-            project_lattice(self.advice_.hkz, ik) for ik in self.advice_.indices
+        hkz = hkz_reduce(basis, budget=self.budget)
+        idx = master_indices(hkz, self.g, self.h)
+        r = int(self.h) + 1
+        self.hkz_ = hkz
+        self.indices_ = idx
+        self.blocks_ = tuple(
+            LatticeBasis(
+                [project_away_from_prefix(hkz, ik, hkz.rows[j])
+                 for j in range(ik, idx[max(k - r, 0)])],
+                ambient=hkz.ambient,
+            )
+            for k, ik in enumerate(idx)
         )
         return self
 
     def reduce(self, target):
-        inner = self.inner if self.inner is not None else oracle_inner(self.budget)
-        return _block_query(self.advice_, self.levels_, target, inner)
+        """Chain the block answers in coefficient space, then complete them.
 
-
-def _relaxed_hkz(basis, inner, budget=None):
-    """HKZ-style basis whose orthogonal rows come from the promise solver.
-
-    Each projected shortest vector is found through closest-vector queries
-    on doubled sublattices, so an approximate solver yields the relaxed
-    (factor-g) variant of the reduction.
-    """
-
-    def solver(doubled, tgt):
-        vec = inner(doubled, tgt)
-        if vec is None:
-            return None
-        coeffs = lattice_coefficients(doubled, vec)
-        return None if coeffs is None else (vec, coeffs)
-
-    return hkz_reduce(basis, svp=lambda b: shortest_via_promise_cvp(b, solver), budget=budget)
-
-
-def cvp_promise_reduce(basis, target, inner=None, budget=None):
-    """Preprocessing-free variant: the solver also builds the reduced basis.
-
-    The promise here is distance below lambda_1 of each projection. With a
-    factor-g solver the output is within g * sqrt(n+3) / 2 of the true
-    distance.
-    """
-    if inner is None:
-        inner = oracle_inner(budget)
-    hkz = _relaxed_hkz(basis, inner, budget=budget)
-    levels = tuple(project_lattice(hkz, i) for i in range(hkz.rank + 1))
-    return _scan(hkz, levels, target, inner)
+        For k <= r the block is the whole projection at cut k and the
+        solver answers directly. A deeper cut fixes the rows below its
+        block to the answer from r cuts back and queries the solver on the
+        projected residual; failures propagate to the cuts that depend on
+        them.
+        """
+        hkz, idx = self.hkz_, self.indices_
+        inner = _solver(self.inner, self.budget)
+        r = int(self.h) + 1
+        t = as_fraction_vector(target, hkz.ambient)
+        tails = []
+        for k, ik in enumerate(idx):
+            prev = tails[k - r] if k > r else ()
+            # the top cut projects to the zero lattice; a failed anchor fails this cut
+            if prev is None or ik == hkz.rank:
+                tails.append(prev)
+                continue
+            y = hkz.vector((0,) * (hkz.rank - len(prev)) + prev)
+            resid = project_away_from_prefix(hkz, ik, tuple(a - b for a, b in zip(t, y)))
+            w = inner(self.blocks_[k], resid)
+            tails.append(None if w is None else tuple(w) + prev)
+        return _complete(hkz, t, zip(idx, tails))
 
 
 class PromiseReducer(ParamMixin):
-    """Estimator form of cvp_promise_reduce; fit builds the reduced basis."""
+    """Preprocessing-free variant: the solver also builds the reduced basis.
+
+    fit builds hkz_ with each projected shortest vector found through
+    closest-vector queries on doubled sublattices (shortest_via_promise_cvp),
+    so an approximate solver yields the relaxed (factor-g) variant, and
+    keeps its tail projections in levels_. The promise here is distance
+    below lambda_1 of each projection. With a factor-g solver the output is
+    within g * sqrt(n+3) / 2 of the true distance.
+    """
 
     def __init__(self, inner=None, budget=None):
         self.inner = inner
         self.budget = budget
 
     def fit(self, basis):
-        inner = self.inner if self.inner is not None else oracle_inner(self.budget)
-        hkz = _relaxed_hkz(basis, inner, budget=self.budget)
-        levels = tuple(project_lattice(hkz, i) for i in range(hkz.rank + 1))
-        self.advice_ = KannanAdvice(hkz, levels)
+        inner = _solver(self.inner, self.budget)
+        self.hkz_ = hkz_reduce(
+            basis, svp=lambda b: shortest_via_promise_cvp(b, inner), budget=self.budget
+        )
+        self.levels_ = _levels(self.hkz_)
         return self
 
     def reduce(self, target):
-        inner = self.inner if self.inner is not None else oracle_inner(self.budget)
-        return _scan(self.advice_.hkz, self.advice_.per_level, target, inner)
+        return _scan(self.hkz_, self.levels_, target, _solver(self.inner, self.budget))
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -570,13 +453,14 @@ def sparsify_reduce(basis, target, tau, inner=None, seed=0, trials=1, mode="pape
         for j, p in enumerate(primes):
             coset = _sample_coset(work, p, stream(seed, k, j))
             y = coset.point()
+            sub = coset.sublattice()
             try:
-                w = inner(coset.sublattice(), tuple(a - b for a, b in zip(tw, y)))
+                w = inner(sub, tuple(a - b for a, b in zip(tw, y)))
             except BudgetExceeded:
                 w = None
             if w is None:
                 continue
-            cand = tuple(a + b for a, b in zip(w, y))
+            cand = tuple(a + b for a, b in zip(sub.vector(w), y))
             produced = True
             score = sqdist(cand, tw)
             if best is None or score < best[0]:

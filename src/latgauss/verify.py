@@ -37,9 +37,9 @@ from .lattice import (
     sqnorm,
 )
 from .reductions import (
+    KannanReducer,
+    PromiseReducer,
     SparseCoset,
-    cvp_promise_reduce,
-    kannan_reduce,
     sparse_coset_sample,
     sparsify_reduce,
 )
@@ -370,10 +370,11 @@ def _check_rounding_safety():
 
 def _check_reduction_membership():
     basis = random_integer(3, seed=41)
+    reducers = (KannanReducer(alpha=0.5).fit(basis), PromiseReducer().fit(basis))
     ok = True
     for t in _rational_targets(basis, 5, seed=41):
-        for out in (kannan_reduce(basis, t, 0.5), cvp_promise_reduce(basis, t)):
-            ok &= lattice_coefficients(basis, out) is not None
+        for red in reducers:
+            ok &= lattice_coefficients(basis, red.reduce(t)) is not None
     res = sparsify_reduce(basis, _rational_targets(basis, 1, seed=42)[0], 1.0,
                           seed=42, trials=4, mode="oracle")
     ok &= lattice_coefficients(basis, res.vector) is not None
@@ -397,9 +398,8 @@ def _check_master_decomposition():
     for t in _rational_targets(hkz, 5, seed=43):
         for i in (1, 2, 3):
             level = project_lattice(hkz, i)
-            x = closest_vector(level, project_away_from_prefix(hkz, i, t))[0]
-            coeffs = lattice_coefficients(level, x)
-            y = hkz.vector((0,) * i + tuple(coeffs))
+            coeffs = closest_vector(level, project_away_from_prefix(hkz, i, t))[1]
+            y = hkz.vector((0,) * i + coeffs)
             resid = tuple(a - b for a, b in zip(t, y))
             prefix = LatticeBasis(hkz.rows[:i], ambient=hkz.ambient)
             z, _ = nearest_plane(prefix, resid)

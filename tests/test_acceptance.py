@@ -35,7 +35,6 @@ from latgauss.reductions import (
     MasterReducer,
     PromiseReducer,
     is_prime,
-    master_prepare,
     sparsify_reduce,
 )
 from latgauss.rng import stream
@@ -176,7 +175,7 @@ def test_07_reduction_factor_audits(capsys):
         kan = KannanReducer(alpha=Fraction(1, 2)).fit(basis)
         mas = MasterReducer(g=1.0, h=0, alpha=Fraction(1, 2)).fit(basis)
         pro = PromiseReducer().fit(basis)
-        if sum(blk.rank for blk in mas.advice_.per_block) != n:
+        if sum(blk.rank for blk in mas.blocks_) != n:
             dims_bad += 1
         rng = stream(107, b)
         for _ in range(10):

@@ -1,5 +1,7 @@
 """End-to-end command-line flows: generate, preprocess, decode, reduce, verify."""
 
+from fractions import Fraction
+
 import pytest
 
 from latgauss.cli import main
@@ -142,6 +144,19 @@ def test_experiment_rejects_bad_configs(tmp_path, capsys):
     code, _, err = run(capsys, "experiment", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
+
+
+def test_decode_reports_a_corrupted_frame(tmp_path, capsys):
+    adv = tmp_path / "dec.txt"
+    BddDecoder(1e-3, n_advice=400, seed=8).fit(random_dual_orthogonal(2, seed=8)).save(adv)
+    lines = adv.read_text().splitlines()
+    parts = lines[-1].split()
+    parts[0] = str(Fraction(parts[0]) + 1)
+    lines[-1] = " ".join(parts)
+    adv.write_text("\n".join(lines) + "\n")
+    code, _, stderr = run(capsys, "decode", "--advice", str(adv), "--target", "0.02 0.01")
+    assert code == 2
+    assert stderr.startswith("error:")
 
 
 def test_verify_reports_the_corrupted_frame(tmp_path, capsys):

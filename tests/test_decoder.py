@@ -336,6 +336,9 @@ def test_decode_rejects_non_finite_targets(bad):
 
 def test_huge_targets_trip_the_guard():
     _, dec = fitted(n=2, seed=18, n_advice=200)
-    res = dec.decode([1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dec.decode([1e300, -1e300])
     assert res.status == GUARD
     assert res.iterations_run == 0
+    assert res.trace and all(math.isfinite(norm) for norm, _ in res.trace)

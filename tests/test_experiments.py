@@ -1,5 +1,7 @@
 """Config parsing, deterministic CSV emission, and the experiment runners."""
 
+import hashlib
+
 import pytest
 
 from latgauss.experiments import (
@@ -123,6 +125,16 @@ def test_reduction_audit_runner_checks_exact_factors():
     names = {a.name for a in report.assertions}
     assert names == {"kannan-factor", "master-factor", "promise-factor",
                      "block-dimension-sum"}
+
+
+def test_reduction_audit_csv_is_pinned():
+    # the configuration the verify suite runs; the digest pins every reducer
+    # output (opt and out squared distances per trial and scheme)
+    report = run_experiment(
+        "experiment = reduction-audit\nlattice = random-integer:3,bound=5\ntrials = 10\n"
+    )
+    digest = hashlib.sha256(report.csv().encode()).hexdigest()
+    assert digest == "4942a467442d9d0e0f730dd52f1c3785514defa673f598c2df79efa63fff5719"
 
 
 def test_sparsify_audit_runner():

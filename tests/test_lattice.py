@@ -157,6 +157,14 @@ def test_rank_zero_and_dependent_rows():
         random_integer(2).vector((1,))
 
 
+def test_vector_rejects_non_integer_coefficients():
+    basis = LatticeBasis([(2, 0), (0, 2)])
+    for bad in ((Fraction(1, 2), 1), (0, 1.7), (float("inf"), 0), (float("nan"), 0)):
+        with pytest.raises(ValueError):
+            basis.vector(bad)
+    assert basis.vector((Fraction(3), 2.0)) == (6, 4)
+
+
 def test_bases_hash_by_rows():
     a = random_integer(3, seed=4)
     b = LatticeBasis(a.rows)

@@ -14,12 +14,8 @@ from latgauss.reductions import (
     SparseCoset,
     SparsifyReducer,
     bdd_inner,
-    cvp_promise_reduce,
     is_prime,
-    kannan_reduce,
     master_indices,
-    master_prepare,
-    master_reduce,
     oracle_inner,
     sparse_coset_sample,
     sparsify_reduce,
@@ -45,47 +41,61 @@ def targets_for(basis, seed, count=6, den=8):
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_kannan_with_the_exact_solver_is_exact(seed):
     basis = random_integer(3, seed=seed)
+    red = KannanReducer(alpha=Fraction(1, 2)).fit(basis)
     for t in targets_for(basis, seed):
         opt = closest_vector(basis, t)[2]
-        got = sqdist(kannan_reduce(basis, t, Fraction(1, 2)), t)
-        assert got == opt
+        assert sqdist(red.reduce(t), t) == opt
 
 
 @pytest.mark.parametrize("seed", (1, 2))
 def test_promise_reduce_with_the_exact_solver_is_exact(seed):
     basis = random_integer(3, seed=seed)
+    red = PromiseReducer().fit(basis)
     for t in targets_for(basis, seed, count=4):
         opt = closest_vector(basis, t)[2]
-        assert sqdist(cvp_promise_reduce(basis, t), t) == opt
+        assert sqdist(red.reduce(t), t) == opt
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_master_reduce_stays_within_the_audited_factor(seed):
     basis = random_integer(4, seed=seed)
-    advice = master_prepare(basis, 1.0, 0)
+    red = MasterReducer(g=1.0, h=0, alpha=Fraction(1, 2)).fit(basis)
     n = basis.rank
     for t in targets_for(basis, seed):
         opt = closest_vector(basis, t)[2]
-        got = sqdist(master_reduce(advice, t, Fraction(1, 2)), t)
-        assert got <= n * opt
+        assert sqdist(red.reduce(t), t) <= n * opt
 
 
-def test_reducer_estimators_match_the_functions():
+def test_reducers_return_the_pinned_vectors():
     basis = random_integer(3, seed=4)
     t = frac_vector((9, -5, 14), 4)
     kan = KannanReducer(alpha=Fraction(1, 2)).fit(basis)
-    assert kan.reduce(t) == kannan_reduce(basis, t, Fraction(1, 2))
     mas = MasterReducer(g=1.0, h=0, alpha=Fraction(1, 2)).fit(basis)
-    assert mas.reduce(t) == master_reduce(mas.advice_, t, Fraction(1, 2))
     pro = PromiseReducer().fit(basis)
-    assert pro.reduce(t) == cvp_promise_reduce(basis, t)
+    for red in (kan, mas, pro):
+        assert red.reduce(t) == (3, 1, 6)
     assert kan.get_params()["alpha"] == Fraction(1, 2)
 
 
+def test_reducers_with_an_off_by_one_solver_return_the_pinned_vectors():
+    # each answer is one last-row step away from the closest vector, so the
+    # lift, the Babai completion and the nearest-wins choice fix the output
+    basis = random_integer(6, seed=601, bound=6)
+    t = frac_vector((34, -32, 16, 7, 40, 1), 8)
+
+    def shifted(sub, target):
+        coeffs = closest_vector(sub, target)[1]
+        return coeffs[:-1] + (coeffs[-1] + 1,)
+
+    scan = (5, -6, -1, 0, 6, -2)
+    assert KannanReducer(inner=shifted).fit(basis).reduce(t) == scan
+    assert PromiseReducer(inner=shifted).fit(basis).reduce(t) == scan
+    assert MasterReducer(h=1, inner=shifted).fit(basis).reduce(t) == (3, -2, 1, 2, 9, 2)
+
+
 def test_kannan_rejects_nonpositive_alpha():
-    basis = integer_identity(2)
     with pytest.raises(ValueError):
-        kannan_reduce(basis, (0, 0), 0)
+        KannanReducer(alpha=0).fit(integer_identity(2))
 
 
 def test_master_indices_frozen_profiles():
@@ -112,26 +122,28 @@ def test_master_indices_validates_parameters():
 @pytest.mark.parametrize("seed", (1, 2, 5))
 def test_master_block_dimensions_sum_to_the_rank(seed):
     basis = random_integer(4, seed=seed)
-    advice = master_prepare(basis, 1.0, 0)
-    assert advice.indices[0] == basis.rank and advice.indices[-1] == 0
-    assert sum(b.rank for b in advice.per_block) == basis.rank
-    assert advice.per_block[0].rank == 0
-    assert advice.r == 1
+    red = MasterReducer(g=1.0, h=0).fit(basis)
+    assert red.indices_[0] == basis.rank and red.indices_[-1] == 0
+    assert sum(b.rank for b in red.blocks_) == basis.rank
+    assert red.blocks_[0].rank == 0
 
 
 def test_master_blocks_project_the_expected_rows():
     basis = diag([1, 2, 4, 8, 16])
-    advice = master_prepare(basis, 1.0, 0)
-    for k, ik in enumerate(advice.indices):
-        hi = advice.indices[max(k - advice.r, 0)]
-        assert advice.per_block[k].rank == hi - ik
+    for h in (0, 1):
+        red = MasterReducer(g=1.0, h=h).fit(basis)
+        r = h + 1
+        for k, ik in enumerate(red.indices_):
+            hi = red.indices_[max(k - r, 0)]
+            assert red.blocks_[k].rank == hi - ik
 
 
 def test_kannan_with_a_bdd_inner_solver():
     basis = integer_identity(3)
-    inner = bdd_inner(alpha=0.15, seed=2)
+    red = KannanReducer(alpha=Fraction(15, 100), inner=bdd_inner(alpha=0.15, seed=2))
+    red.fit(basis)
     for t in ((Fraction(1, 10), 0, Fraction(-1, 10)), (1, Fraction(21, 20), 2)):
-        got = kannan_reduce(basis, t, Fraction(15, 100), inner=inner)
+        got = red.reduce(t)
         opt = closest_vector(basis, t)[2]
         assert sqdist(got, t) <= 3 * opt
 
@@ -143,8 +155,12 @@ def test_inner_failure_falls_back_to_babai():
     def refusing(sub, target):
         return None
 
-    got = kannan_reduce(basis, t, Fraction(1, 2), inner=refusing)
-    assert got == nearest_plane(basis, t)[0]
+    for red in (
+        KannanReducer(alpha=Fraction(1, 2), inner=refusing),
+        MasterReducer(h=0, inner=refusing),
+        MasterReducer(h=1, inner=refusing),
+    ):
+        assert red.fit(basis).reduce(t) == nearest_plane(basis, t)[0]
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -256,7 +272,7 @@ def test_sparsify_reduce_scales_rational_bases():
 def test_promise_reducer_preserves_the_lattice():
     basis = random_integer(3, seed=15)
     pro = PromiseReducer().fit(basis)
-    hkz = pro.advice_.hkz
+    hkz = pro.hkz_
     for row in hkz.rows:
         assert lattice_coefficients(basis, row) is not None
     for row in basis.rows:
