@@ -1,5 +1,6 @@
 """Bounded-distance decoder: planning, fit/decode, persistence, the guard."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -281,6 +282,14 @@ def test_save_load_save_gives_identical_bytes(tmp_path):
     dec.save(first)
     BddDecoder.load(first).save(second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_saved_decoder_file_is_pinned(tmp_path):
+    # the digest pins the sampler, the frame choice and the file format
+    path = tmp_path / "decoder.txt"
+    BddDecoder(1e-3, n_advice=400, seed=16).fit(random_integer(3, seed=16)).save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "40bbd5291a5591978c143e37b5c291426bec895a247d36474981a2b5bf442590"
 
 
 def test_load_rejects_every_truncation(tmp_path):

@@ -137,6 +137,34 @@ def test_reduction_audit_csv_is_pinned():
     assert digest == "4942a467442d9d0e0f730dd52f1c3785514defa673f598c2df79efa63fff5719"
 
 
+# small configurations of the runners that draw advice, decode, and sparsify;
+# each digest was recorded before those paths were merged into one
+PINNED_CSVS = {
+    "sparsify-audit": (
+        "experiment = sparsify-audit\nlattice = random-integer:3\nseed = 4\ntau = 1.0\n"
+        "trials = 30\ntol.singles = 20\ntol.runs = 2\n",
+        "bf88e3069d535717120b1d39834dbe451a13085b1d2160983e1b3e1dc88d45db",
+    ),
+    "estimator-error": (
+        "experiment = estimator-error\nlattice = integer-identity:2\nseed = 5\neps = 1e-3\n"
+        "n_advice = 64\ntrials = 40\ntol.octaves = 3\n",
+        "03dfdffcdd542984630aa953db6e08bf8415ddd8d72fcf78ed6d8411856463ae",
+    ),
+    "decode-success": (
+        "experiment = decode-success\nlattice = integer-identity:3\ntrials = 10\n",
+        "8df18688c9c0503db59d7b1e2e48355d0452c7b1f9a946dab72b25f8021434f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSVS))
+def test_experiment_csv_is_pinned(name):
+    text, want = PINNED_CSVS[name]
+    report = run_experiment(text)
+    assert report.ok
+    assert hashlib.sha256(report.csv().encode()).hexdigest() == want
+
+
 def test_sparsify_audit_runner():
     report = run_experiment(
         "experiment = sparsify-audit\n"

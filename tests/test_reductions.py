@@ -269,6 +269,13 @@ def test_sparsify_reduce_scales_rational_bases():
     assert sqdist(res.vector, t) <= 2 * opt
 
 
+def test_sparsify_reducer_paper_mode_is_pinned():
+    basis = random_integer(3, seed=9)
+    t = frac_vector((11, -6, 3), 8)
+    res = SparsifyReducer(tau=1.0, mode="paper", trials=40, seed=3).fit(basis).reduce(t)
+    assert res.vector == (1, -1, 0) and res.ok and res.trials == 40
+
+
 def test_promise_reducer_preserves_the_lattice():
     basis = random_integer(3, seed=15)
     pro = PromiseReducer().fit(basis)
