@@ -6,11 +6,9 @@ promise-query reductions built on top of them.
 """
 
 from .advice import (
-    DenominatorTooSmall,
     GaussianAdvice,
     advice_count,
     default_denom_floor,
-    generate_advice,
 )
 from .decoder import (
     BddDecoder,
@@ -19,7 +17,6 @@ from .decoder import (
     bdd_param_plan,
     decoding_radius,
     iteration_count,
-    preprocess,
 )
 from .enumeration import (
     BallPoints,
@@ -34,7 +31,6 @@ from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentReport,
-    config_hash,
     parse_config,
     run_experiment,
 )
@@ -44,7 +40,6 @@ from .gaussian import (
     decoding_width,
     density_envelope,
     gaussian_mass,
-    periodic_gaussian,
     periodic_gaussian_interval,
     sample_lattice_gaussian,
     smoothing_parameter,
@@ -66,7 +61,6 @@ from .lattice import (
     project_away_from_prefix,
     project_lattice,
     read_basis,
-    span_coefficients,
     sqdist,
     sqnorm,
     write_basis,
@@ -78,11 +72,8 @@ from .reductions import (
     SparseCoset,
     SparsifyReducer,
     bdd_inner,
-    is_prime,
-    master_indices,
     oracle_inner,
     sparse_coset_sample,
-    sparsify_reduce,
 )
 from .rng import stream
 from .verify import verify_suite
@@ -95,7 +86,6 @@ __all__ = [
     "BudgetExceeded",
     "CertifiedSum",
     "DecodeResult",
-    "DenominatorTooSmall",
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentReport",
@@ -114,7 +104,6 @@ __all__ = [
     "bdd_param_plan",
     "checkerboard",
     "closest_vector",
-    "config_hash",
     "decoding_radius",
     "decoding_width",
     "default_denom_floor",
@@ -122,22 +111,17 @@ __all__ = [
     "enumerate_ball",
     "format_basis",
     "gaussian_mass",
-    "generate_advice",
     "generate_lattice",
     "hkz_reduce",
     "integer_identity",
-    "is_prime",
     "iteration_count",
     "lambda1",
     "lattice_coefficients",
-    "master_indices",
     "nearest_plane",
     "oracle_inner",
     "parse_basis",
     "parse_config",
-    "periodic_gaussian",
     "periodic_gaussian_interval",
-    "preprocess",
     "project_away_from_prefix",
     "project_lattice",
     "random_dual_orthogonal",
@@ -147,9 +131,7 @@ __all__ = [
     "sample_lattice_gaussian",
     "shortest_vector",
     "smoothing_parameter",
-    "span_coefficients",
     "sparse_coset_sample",
-    "sparsify_reduce",
     "sqdist",
     "sqnorm",
     "stream",

@@ -2,8 +2,10 @@
 
 Exact quantities are fractions.Fraction throughout; floats are converted
 exactly (every float is a dyadic rational), never by decimal approximation.
+NaN and infinite inputs are rejected here with ValueError.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,8 @@ def as_fraction(x):
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError(f"exact values must be finite, got {x!r}")
         return Fraction(float(x))
     if isinstance(x, str):
         return Fraction(x)
@@ -45,6 +49,8 @@ def as_fraction_matrix(rows):
 
 def as_float_vector(v, length=None):
     arr = np.asarray([float(x) for x in v], dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("vector entries must be finite")
     if length is not None and arr.shape != (length,):
         raise ValueError(f"expected a vector of length {length}, got shape {arr.shape}")
     return arr

@@ -5,16 +5,16 @@ dual lattice at the smoothing width. Averaging cosines over those draws
 estimates the periodic Gaussian density of the primal lattice; the matching
 sine and outer-product averages estimate its gradient and Hessian. Every
 draw keeps its exact integer coefficient record next to the cached float
-coordinates, so membership stays exact and saved files reload to
-bit-identical evaluators.
+coordinates, so membership stays exact. The decoder file written by
+BddDecoder.save is the only file format for advice; it reloads to a
+bit-identical evaluator.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from ._validation import as_float_vector, check_count, check_eps, parse_fraction
+from ._validation import as_float_vector, check_count, check_eps
 from .gaussian import sample_lattice_gaussian, smoothing_parameter
 from .rng import stream
 
@@ -22,23 +22,6 @@ _PI = math.pi
 
 # cap on entries of one targets-by-advice phase block, to bound peak memory
 _CHUNK_ENTRIES = 1 << 23
-
-
-class DenominatorTooSmall(ArithmeticError):
-    """The estimated density is too close to zero to divide by.
-
-    Raised by the gradient step when |f_W| falls below the guard floor,
-    which signals a point outside the region where the analysis keeps the
-    denominator bounded away from zero.
-    """
-
-    def __init__(self, value, floor):
-        super().__init__(
-            f"estimated density {value:.3e} is inside the guard band (floor "
-            f"{floor:.3e}); the point sits outside the reliable decoding region"
-        )
-        self.value = value
-        self.floor = floor
 
 
 def default_denom_floor(eps):
@@ -60,17 +43,14 @@ class GaussianAdvice:
     advice vector is a dual lattice point by construction. f(t) averages
     cos(2 pi <w_i, t>) over the draws: it is periodic over the lattice,
     equals 1 on it, and for draws at the smoothing width it concentrates
-    around the true periodic Gaussian. source_scale records the
-    normalization factor applied to the lattice this advice was built for
-    (1 when nothing was rescaled); it is carried through serialization so
-    advice reloads against the original lattice file.
+    around the true periodic Gaussian.
 
     f, grad and hessian evaluate in float64 and are the reference. The
-    batched f_batch, step_batch and step reduce the phases mod 1 in float64
-    and take cos and sin in float32; kernel_err bounds what that adds.
+    batched f_batch and step_batch reduce the phases mod 1 in float64 and
+    take cos and sin in float32; kernel_err bounds what that adds.
     """
 
-    def __init__(self, basis, coeffs, eps, seed, source_scale=1):
+    def __init__(self, basis, coeffs, eps, seed):
         if basis.rank == 0:
             raise ValueError("advice needs a lattice of positive rank")
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -84,9 +64,6 @@ class GaussianAdvice:
         self.coeffs = coeffs
         self.eps = check_eps(eps)
         self.seed = int(seed)
-        self.source_scale = Fraction(source_scale)
-        if self.source_scale <= 0:
-            raise ValueError("source_scale must be positive")
         self.vectors = coeffs.astype(np.float64) @ basis.dual.float_rows
         wmax = float(np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors).max()))
         self._err_const = (_PI + 4.0) * 2.0 ** -24 + len(self) * 2.0 ** -53
@@ -164,21 +141,6 @@ class GaussianAdvice:
         """
         return np.abs(vals) - self.kernel_err(ts) >= floor
 
-    def step(self, t, floor=None):
-        """One gradient-ascent step t + grad(t) / (2 pi f(t)).
-
-        Raises DenominatorTooSmall when |f(t)| minus kernel_err(t) is below
-        floor (default eps^(1/4)/4) rather than divide by a denominator the
-        in-region analysis does not control. Runs the step_batch kernel on
-        one row.
-        """
-        t = as_float_vector(t, self.basis.ambient)
-        floor = default_denom_floor(self.eps) if floor is None else float(floor)
-        stepped, vals = self.step_batch(t, floor)
-        if not self.clears_guard(t, vals, floor)[0]:
-            raise DenominatorTooSmall(float(vals[0]), floor)
-        return stepped[0]
-
     def _kernel(self, block, grad):
         """Estimator values of the rows of block and, when grad is set, the
         sums sum_i w_i sin(2 pi <w_i, t>); see kernel_err for the error."""
@@ -221,59 +183,14 @@ class GaussianAdvice:
             block[ok] -= sines[ok] / (len(self) * f[ok, None])
         return ts, vals
 
-    def save(self, path):
-        """Write the header "N eps seed scale", then one coefficient row per line."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{len(self)} {self.eps!r} {self.seed} {self.source_scale}\n")
-            write_rows(fh, self.coeffs)
-
-    @classmethod
-    def load(cls, path, basis):
-        """Reload advice saved by save against the primal basis it came from.
-
-        The recorded scale is reapplied to the basis, so advice generated on
-        a normalized copy reloads from the original lattice file.
-        """
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        head = lines[0].split() if lines else []
-        if len(head) != 4:
-            raise ValueError("advice header must read 'N eps seed scale'")
-        n_rows, eps, seed = int(head[0]), float(head[1]), int(head[2])
-        scale = parse_fraction(head[3])
-        rows = read_rows(lines[1:], check_count("advice row count", n_rows), basis.rank)
-        if scale != 1:
-            basis = basis.scaled(scale)
-        return cls(basis, rows, eps, seed, source_scale=scale)
-
-
-def write_rows(fh, coeffs):
-    """Write an integer array one space-separated row per line."""
-    fh.writelines(" ".join(map(str, row)) + "\n" for row in coeffs.tolist())
-
-
-def read_rows(lines, count, width):
-    """Parse exactly count rows of width integers from lines; blank lines are skipped.
-
-    Raises ValueError on a short block, a wrong row or column count, or a
-    token that is not an int64 integer.
-    """
-    if len(lines) < count:
-        raise ValueError(f"file announces {count} coefficient rows but holds {len(lines)}")
-    rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-    if rows.shape != (count, width):
-        raise ValueError(
-            f"expected {count} coefficient rows of {width} integers, got shape {rows.shape}"
-        )
-    return rows
-
 
 def generate_advice(basis, eps, count, seed, eta=None, budget=None):
     """count i.i.d. draws from the dual Gaussian at the smoothing width.
 
-    The sampling width is eta_eps(L*) computed here unless eta is given; a
-    caller that already normalized its lattice passes eta=1.0 so the two
-    stay consistent. Randomness comes from the (seed, 0) stream.
+    The sampling width is eta_eps(L*) computed here unless eta is given;
+    BddDecoder.fit, which has already normalized its lattice, passes
+    eta=1.0 so the two stay consistent. Randomness comes from the (seed, 0)
+    stream.
     """
     eps = check_eps(eps, upper=1.0 / 200.0)
     count = check_count("count", count)

@@ -15,14 +15,14 @@ from fractions import Fraction
 from .decoder import BddDecoder, FrameAbort
 from .experiments import parse_config, run_experiment
 from .generators import generate_lattice
-from .lattice import read_basis, write_basis, format_basis
+from .lattice import format_basis, read_basis
 from .reductions import (
     KannanReducer,
     MasterReducer,
     PromiseReducer,
+    SparsifyReducer,
     bdd_inner,
     oracle_inner,
-    sparsify_reduce,
 )
 from .verify import verify_suite
 
@@ -81,21 +81,21 @@ def _cmd_reduce(args):
         inner = oracle_inner()
     else:
         inner = bdd_inner(alpha=args.alpha, seed=args.seed)
-    if args.scheme == "sparsify":
-        res = sparsify_reduce(basis, target, args.tau, inner=inner,
-                              seed=args.seed, trials=args.trials, mode=args.mode)
-        print("vector = " + " ".join(str(x) for x in res.vector))
-        print(f"solver_hit = {int(res.ok)}")
-        print(f"trials = {res.trials}")
-        return 0
     if args.scheme == "kannan":
         red = KannanReducer(alpha=args.alpha, inner=inner)
     elif args.scheme == "master":
         red = MasterReducer(g=args.g, h=args.h, alpha=args.alpha, inner=inner)
-    else:
+    elif args.scheme == "promise":
         red = PromiseReducer(inner=inner)
+    else:
+        red = SparsifyReducer(tau=args.tau, inner=inner, mode=args.mode,
+                              trials=args.trials, seed=args.seed)
     out = red.fit(basis).reduce(target)
-    print("vector = " + " ".join(str(x) for x in out))
+    sparsify = args.scheme == "sparsify"
+    print("vector = " + " ".join(str(x) for x in (out.vector if sparsify else out)))
+    if sparsify:
+        print(f"solver_hit = {int(out.ok)}")
+        print(f"trials = {out.trials}")
     return 0
 
 

@@ -8,6 +8,9 @@ of guarded ascent steps on the estimator, rounds the iterate against the
 frame, and maps the result back to original units. Membership of the
 output is checked exactly, so a claimed-exact result is always a true
 lattice point.
+
+save writes the decoder file: the basis, the advice rows and the frame,
+all exact. It is the only file format for advice.
 """
 
 import math
@@ -18,12 +21,11 @@ import numpy as np
 
 from ._estimator import ParamMixin
 from ._validation import check_count, check_eps, parse_fraction
-from .advice import GaussianAdvice, advice_count, default_denom_floor, read_rows, write_rows
-from .gaussian import decoding_width, sample_lattice_gaussian, smoothing_parameter
+from .advice import GaussianAdvice, advice_count, default_denom_floor, generate_advice
+from .gaussian import decoding_width, smoothing_parameter
 # lattice_coefficients is no longer called here; it stays importable from this
 # module because the benchmark's tracer self-test looks it up here
 from .lattice import LatticeBasis, format_basis, lattice_coefficients, parse_basis  # noqa: F401
-from .rng import stream
 
 EXACT = "exact-claimed"
 GUARD = "denominator-guard"
@@ -165,6 +167,27 @@ def _frame_matrix(basis, frame):
     return num, den
 
 
+def _write_rows(fh, coeffs):
+    """Write an integer array one space-separated row per line."""
+    fh.writelines(" ".join(map(str, row)) + "\n" for row in coeffs.tolist())
+
+
+def _read_rows(lines, count, width):
+    """Parse exactly count rows of width integers from lines; blank lines are skipped.
+
+    Raises ValueError on a short block, a wrong row or column count, or a
+    token that is not an int64 integer.
+    """
+    if len(lines) < count:
+        raise ValueError(f"file announces {count} coefficient rows but holds {len(lines)}")
+    rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    if rows.shape != (count, width):
+        raise ValueError(
+            f"expected {count} coefficient rows of {width} integers, got shape {rows.shape}"
+        )
+    return rows
+
+
 def _read_fields(lines, pos, what):
     if pos >= len(lines):
         raise ValueError(f"decoder file ends before its {what}")
@@ -203,39 +226,49 @@ class BddDecoder(ParamMixin):
         eps = check_eps(self.eps, upper=1.0 / 200.0)
         if basis.rank == 0:
             raise ValueError("cannot decode against a rank-0 lattice")
-        s_eps, dmax = decoding_width(eps)
         eta = smoothing_parameter(basis.dual, eps, budget=self.budget)
         scale = Fraction(eta.value)
         count = self.n_advice
         if count is None:
             count = advice_count(basis.rank, eps, self.advice_factor)
-        count = check_count("n_advice", count)
-        scaled = basis.scaled(scale)
-        draws = sample_lattice_gaussian(
-            scaled.dual, s=1.0, count=count, rng=stream(self.seed, 0), budget=self.budget
+        advice = generate_advice(
+            basis.scaled(scale), eps, check_count("n_advice", count), self.seed,
+            eta=1.0, budget=self.budget,
         )
-        advice = GaussianAdvice(scaled, draws.coeffs, eps, self.seed, source_scale=scale)
-        idx = _frame_indices(advice)
-        raw_dual = basis.dual
+        self._set_state(basis, scale, advice, _frame_indices(advice), eta=eta)
+        return self
+
+    def _set_state(self, basis, scale, advice, idx, frame=None, eta=None):
+        """Fitted state from the advice (drawn on basis scaled by scale).
+
+        idx picks the frame draws. frame defaults to the dual of those draws
+        (fit); load passes the stored one. Either way every inner product
+        <w_i, u_j> must equal delta_ij exactly, so a corrupted file fails
+        loudly instead of mis-decoding quietly.
+        """
         vstar = LatticeBasis(
-            [raw_dual.vector([int(c) for c in advice.coeffs[i]]) for i in idx],
+            [basis.dual.vector([int(c) for c in advice.coeffs[i]]) for i in idx],
             ambient=basis.ambient,
         )
+        frame = vstar.dual if frame is None else LatticeBasis(frame, ambient=basis.ambient)
+        for i, w in enumerate(vstar.rows):
+            for j, u in enumerate(frame.rows):
+                if sum(a * b for a, b in zip(w, u)) != (1 if i == j else 0):
+                    raise FrameAbort(
+                        "stored frame fails the biorthogonality identity; file corrupt"
+                    )
+        s_eps, dmax = decoding_width(advice.eps)
         self.basis_ = basis
         self.eta_ = eta
         self.scale_ = scale
-        self.scaled_basis_ = scaled
         self.advice_ = advice
-        self.vstar_indices_ = tuple(idx)
+        self.vstar_indices_ = tuple(int(i) for i in idx)
         self.vstar_ = vstar
-        self.frame_ = vstar.dual
-        self._frame_num, self._frame_den = _frame_matrix(basis, self.frame_)
-        self._vstar_float = advice.vectors[idx]
-        self.s_eps_ = s_eps
-        self.delta_max_ = dmax
-        self.iterations_ = iteration_count(basis.rank, eps)
-        self.radius_ = dmax * s_eps / eta.value
-        return self
+        self.frame_ = frame
+        self._frame_num, self._frame_den = _frame_matrix(basis, frame)
+        self._vstar_float = advice.vectors[list(self.vstar_indices_)]
+        self.iterations_ = iteration_count(basis.rank, advice.eps)
+        self.radius_ = dmax * s_eps / float(scale)
 
     def _check_fitted(self):
         if getattr(self, "basis_", None) is None:
@@ -314,12 +347,6 @@ class BddDecoder(ParamMixin):
     def decode(self, target):
         return self.decode_batch([target])[0]
 
-    def predict(self, targets):
-        """Decoded lattice vectors as float rows, one per target."""
-        return np.array(
-            [[float(x) for x in r.vector] for r in self.decode_batch(targets)]
-        )
-
     def save(self, path):
         """Write the full decoding state: basis, advice, frame, all exact."""
         self._check_fitted()
@@ -327,8 +354,8 @@ class BddDecoder(ParamMixin):
         with open(path, "w", encoding="ascii") as fh:
             fh.write("latgauss-decoder 1\n")
             fh.write(format_basis(self.basis_))
-            fh.write(f"advice {len(a)} {a.eps!r} {a.seed} {a.source_scale}\n")
-            write_rows(fh, a.coeffs)
+            fh.write(f"advice {len(a)} {a.eps!r} {a.seed} {self.scale_}\n")
+            _write_rows(fh, a.coeffs)
             fh.write("frame " + " ".join(str(i) for i in self.vstar_indices_) + "\n")
             for row in self.frame_.rows:
                 fh.write(" ".join(str(x) for x in row) + "\n")
@@ -337,11 +364,10 @@ class BddDecoder(ParamMixin):
     def load(cls, path):
         """Rebuild a fitted decoder from save output.
 
-        The stored frame is verified against the advice rows it references:
-        every inner product <w_i, u_j> must equal delta_ij exactly, so a
-        corrupted file fails loudly instead of mis-decoding quietly. The
-        smoothing certificate is not stored; eta_ is None on a loaded
-        decoder and the recorded scale stands in for its value.
+        The stored frame is verified against the advice rows it references
+        (see _set_state). The smoothing certificate is not stored; eta_ is
+        None on a loaded decoder and the recorded scale stands in for its
+        value.
         """
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -361,7 +387,7 @@ class BddDecoder(ParamMixin):
         count, eps, seed = check_count("advice count", head[1]), float(head[2]), int(head[3])
         scale = parse_fraction(head[4])
         pos += 1
-        coeffs = read_rows(lines[pos:pos + count], count, n)
+        coeffs = _read_rows(lines[pos:pos + count], count, n)
         pos += count
         head = _read_fields(lines, pos, "frame section")
         if len(head) != 1 + n or head[0] != "frame":
@@ -374,42 +400,6 @@ class BddDecoder(ParamMixin):
             raise ValueError(f"decoder file must end with {n} frame rows")
         frame_rows = [[parse_fraction(t) for t in lines[pos + i].split()] for i in range(n)]
         dec = cls(eps=eps, n_advice=count, seed=seed)
-        dec._restore(basis, coeffs, eps, seed, scale, idx, frame_rows)
+        advice = GaussianAdvice(basis.scaled(scale), coeffs, eps, seed)
+        dec._set_state(basis, scale, advice, idx, frame_rows)
         return dec
-
-    def _restore(self, basis, coeffs, eps, seed, scale, idx, frame_rows):
-        scaled = basis.scaled(scale)
-        advice = GaussianAdvice(scaled, coeffs, eps, seed, source_scale=scale)
-        raw_dual = basis.dual
-        vstar = LatticeBasis(
-            [raw_dual.vector([int(c) for c in advice.coeffs[i]]) for i in idx],
-            ambient=basis.ambient,
-        )
-        frame = LatticeBasis(frame_rows, ambient=basis.ambient)
-        for i, w in enumerate(vstar.rows):
-            for j, u in enumerate(frame.rows):
-                want = 1 if i == j else 0
-                if sum(a * b for a, b in zip(w, u)) != want:
-                    raise FrameAbort(
-                        "stored frame fails the biorthogonality identity; file corrupt"
-                    )
-        s_eps, dmax = decoding_width(eps)
-        self.basis_ = basis
-        self.eta_ = None
-        self.scale_ = scale
-        self.scaled_basis_ = scaled
-        self.advice_ = advice
-        self.vstar_indices_ = tuple(int(i) for i in idx)
-        self.vstar_ = vstar
-        self.frame_ = frame
-        self._frame_num, self._frame_den = _frame_matrix(basis, frame)
-        self._vstar_float = advice.vectors[list(self.vstar_indices_)]
-        self.s_eps_ = s_eps
-        self.delta_max_ = dmax
-        self.iterations_ = iteration_count(basis.rank, eps)
-        self.radius_ = dmax * s_eps / float(scale)
-
-
-def preprocess(basis, eps, n_advice=None, seed=0, budget=None):
-    """Fitted decoder for the lattice: advice, frame, and iteration count."""
-    return BddDecoder(eps=eps, n_advice=n_advice, seed=seed, budget=budget).fit(basis)

@@ -27,12 +27,7 @@ from .gaussian import (
 )
 from .generators import generate_lattice
 from .lattice import sqdist
-from .reductions import (
-    KannanReducer,
-    MasterReducer,
-    PromiseReducer,
-    sparsify_reduce,
-)
+from .reductions import KannanReducer, MasterReducer, PromiseReducer, SparsifyReducer
 from .rng import stream
 
 EXPERIMENTS = (
@@ -101,7 +96,7 @@ def parse_config(text):
     return ExperimentConfig(tolerances=tols, **fields)
 
 
-def config_hash(cfg):
+def _config_hash(cfg):
     """Twelve hex digits identifying the full config, tolerances included."""
     parts = [
         f"experiment={cfg.experiment}",
@@ -140,7 +135,7 @@ class ExperimentReport:
 
     def csv(self):
         """Deterministic CSV text; every row ends with config hash and seed."""
-        tag = config_hash(self.config)
+        tag = _config_hash(self.config)
         out = [",".join(self.columns + ("config", "seed"))]
         for row in self.rows:
             cells = [_format_cell(v) for v in row]
@@ -451,6 +446,8 @@ def _run_sparsify_audit(cfg):
     bound = 1 + tau * tau
     singles = max(int(_tol(cfg, "singles", 200)), 1)
     runs = max(int(_tol(cfg, "runs", 5)), 1)
+    single = SparsifyReducer(tau=cfg.tau, trials=1, mode="oracle").fit(basis)
+    best_of = SparsifyReducer(tau=cfg.tau, trials=cfg.trials, mode="oracle").fit(basis)
     rows = []
     hits = 0
     for j in range(singles):
@@ -459,9 +456,7 @@ def _run_sparsify_audit(cfg):
         off = _exact_offsets(rng, 1, basis, Fraction(1, 2))[0]
         t = tuple(a + b for a, b in zip(basis.vector(coeffs), off))
         _, _, opt = closest_vector(basis, t)
-        res = sparsify_reduce(
-            basis, t, cfg.tau, seed=cfg.seed + j, trials=1, mode="oracle"
-        )
+        res = single.set_params(seed=cfg.seed + j).reduce(t)
         got = sqdist(res.vector, t)
         ok = got <= bound * opt
         hits += ok
@@ -474,9 +469,7 @@ def _run_sparsify_audit(cfg):
         off = _exact_offsets(rng, 1, basis, Fraction(1, 2))[0]
         t = tuple(a + b for a, b in zip(basis.vector(coeffs), off))
         _, _, opt = closest_vector(basis, t)
-        res = sparsify_reduce(
-            basis, t, cfg.tau, seed=cfg.seed + 1000 + j, trials=cfg.trials, mode="oracle"
-        )
+        res = best_of.set_params(seed=cfg.seed + 1000 + j).reduce(t)
         got = sqdist(res.vector, t)
         ok = got <= bound * opt
         e2e_hits += ok

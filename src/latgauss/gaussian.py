@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from ._validation import as_float_vector, as_fraction_vector, check_count, check_eps, check_positive
 from .enumeration import enumerate_ball, lambda1
-from .lattice import LatticeBasis, lattice_coefficients, span_coefficients
+from .lattice import LatticeBasis, _span_coefficients, lattice_coefficients
 from .rng import stream
 
 _PI = math.pi
@@ -101,7 +101,7 @@ def gaussian_mass(basis, s=1.0, center=None, rel_tol=1e-12, budget=None):
 
 def _span_residual_sq(basis, vec):
     """Float squared distance from vec to the lattice span (exact arithmetic)."""
-    coeffs = span_coefficients(basis, vec)
+    coeffs = _span_coefficients(basis, vec)
     proj = [sum(c * row[j] for c, row in zip(coeffs, basis.rows)) for j in range(basis.ambient)]
     return float(sum((a - b) ** 2 for a, b in zip(vec, proj)))
 
@@ -111,11 +111,6 @@ def periodic_gaussian_interval(basis, t, s=1.0, rel_tol=1e-12, budget=None):
     num = gaussian_mass(basis, s, t, rel_tol, budget)
     den = gaussian_mass(basis, s, None, rel_tol, budget)
     return num.lower / den.upper, num.upper / den.lower
-
-
-def periodic_gaussian(basis, t, s=1.0, rel_tol=1e-12, budget=None):
-    lo, hi = periodic_gaussian_interval(basis, t, s, rel_tol, budget)
-    return 0.5 * (lo + hi)
 
 
 class PeriodicGaussian:

@@ -203,7 +203,7 @@ def solve_linear(mat, rhs):
     return tuple(_dot(rhs, col) for col in cols)
 
 
-def span_coefficients(basis, vector):
+def _span_coefficients(basis, vector):
     """Real coefficients x with x.B equal to the projection of vector onto span(B)."""
     v = as_fraction_vector(vector, basis.ambient)
     if basis.rank == 0:
@@ -215,7 +215,7 @@ def span_coefficients(basis, vector):
 def lattice_coefficients(basis, vector):
     """Integer coefficients of vector in the basis, or None if not a lattice point."""
     v = as_fraction_vector(vector, basis.ambient)
-    coeffs = span_coefficients(basis, v)
+    coeffs = _span_coefficients(basis, v)
     if any(c.denominator != 1 for c in coeffs):
         return None
     ints = tuple(int(c) for c in coeffs)

@@ -157,7 +157,7 @@ class KannanReducer(ParamMixin):
         return _scan(self.hkz_, self.levels_, target, _solver(self.inner, self.budget))
 
 
-def master_indices(hkz, g, h):
+def _master_indices(hkz, g, h):
     """Cut indices with geometrically separated Gram-Schmidt prefix maxima.
 
     The next index below i is the smallest one whose following orthogonal
@@ -210,7 +210,7 @@ class MasterReducer(ParamMixin):
     def fit(self, basis):
         check_positive("alpha", self.alpha)
         hkz = hkz_reduce(basis, budget=self.budget)
-        idx = master_indices(hkz, self.g, self.h)
+        idx = _master_indices(hkz, self.g, self.h)
         r = int(self.h) + 1
         self.hkz_ = hkz
         self.indices_ = idx
@@ -281,7 +281,7 @@ class PromiseReducer(ParamMixin):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_prime(m):
+def _is_prime(m):
     """Deterministic Miller-Rabin; the witness set is exact below 2^64."""
     m = int(m)
     if m < 2:
@@ -307,7 +307,7 @@ def is_prime(m):
 
 def _next_prime(lo):
     m = max(int(lo), 2)
-    while not is_prime(m):
+    while not _is_prime(m):
         m += 1
     return m
 
@@ -375,7 +375,7 @@ def sparse_coset_sample(basis, p, seed):
     if basis.denominator != 1:
         raise ValueError("coset sampling wants an integer basis; scale first")
     p = int(p)
-    if not is_prime(p):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _sample_coset(basis, p, stream(seed))
 
@@ -396,6 +396,10 @@ def _ball_count(basis, sq_radius, budget=None):
     return sum(1 for s in pts.scaled_sqdist.tolist() if int(s) * den <= thr)
 
 
+# the paper-mode prime sweep tries at most this many powers of two
+_SWEEP = 40
+
+
 @dataclass(frozen=True)
 class SparsifyResult:
     """Output vector, whether any trial produced it, and the trial count."""
@@ -405,75 +409,22 @@ class SparsifyResult:
     trials: int
 
 
-def sparsify_reduce(basis, target, tau, inner=None, seed=0, trials=1, mode="paper",
-                    budget=None, sweep=40):
+class SparsifyReducer(ParamMixin):
     """Random-coset reduction: solve on index-p sublattices, nearest wins.
 
-    Each trial draws a coset, shifts the target by a representative, and
-    hands the solver the sublattice, whose minimum distance is large
-    relative to the shifted distance for a good draw. In paper mode the
-    right prime scale is unknown, so one prime just above each power of
-    two is tried per trial; the sweep stops once the primes provably
-    exceed the useful window (bounded through the Babai distance, with
-    the origin-ball count capped by the enumeration budget). In oracle
-    mode (for audits) the exact distance fixes N = |L within tau*dist of
-    the origin| and a single prime in [2N, 8N]. When every solver call
-    fails the Babai point is returned with ok False.
+    fit checks the parameters and the rank and keeps the lattice scaled to
+    integers (work_, with scale_ its denominator). Each trial of reduce
+    draws a coset, shifts the target by a representative, and hands the
+    solver the sublattice, whose minimum distance is large relative to the
+    shifted distance for a good draw. In paper mode the right prime scale is
+    unknown, so one prime just above each power of two is tried per trial;
+    the sweep stops once the primes provably exceed the useful window
+    (bounded through the Babai distance, with the origin-ball count capped
+    by the enumeration budget). In oracle mode (for audits) the exact
+    distance fixes N = |L within tau*dist of the origin| and a single prime
+    in [2N, 8N]. reduce returns a SparsifyResult; when every solver call
+    fails it holds the Babai point with ok False.
     """
-    tau_f = as_fraction(tau)
-    check_positive("tau", tau_f)
-    trials = check_count("trials", trials)
-    if basis.rank != basis.ambient:
-        raise ValueError("sparsification needs a full-rank lattice")
-    if inner is None:
-        inner = oracle_inner(budget)
-    t = as_fraction_vector(target, basis.ambient)
-    scale = basis.denominator
-    work = basis.scaled(scale) if scale > 1 else basis
-    tw = tuple(scale * x for x in t) if scale > 1 else t
-
-    if mode == "oracle":
-        opt_sq = closest_vector(work, tw, budget=budget)[2]
-        counted = _ball_count(work, tau_f * tau_f * opt_sq, budget)
-        primes = (_next_prime(2 * counted),)
-    elif mode == "paper":
-        bv, _ = nearest_plane(work, tw)
-        try:
-            cap = _ball_count(work, tau_f * tau_f * sqdist(bv, tw), budget)
-        except BudgetExceeded:
-            cap = None
-        top = sweep if cap is None else min(int(sweep), max(1, (2 * cap).bit_length()))
-        primes = tuple(_next_prime((1 << i) + 1) for i in range(1, top + 1))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    best = None
-    produced = False
-    for k in range(trials):
-        for j, p in enumerate(primes):
-            coset = _sample_coset(work, p, stream(seed, k, j))
-            y = coset.point()
-            sub = coset.sublattice()
-            try:
-                w = inner(sub, tuple(a - b for a, b in zip(tw, y)))
-            except BudgetExceeded:
-                w = None
-            if w is None:
-                continue
-            cand = tuple(a + b for a, b in zip(sub.vector(w), y))
-            produced = True
-            score = sqdist(cand, tw)
-            if best is None or score < best[0]:
-                best = (score, cand)
-    if best is None:
-        cand, _ = nearest_plane(work, tw)
-        best = (sqdist(cand, tw), cand)
-    vec = best[1] if scale == 1 else tuple(x / scale for x in best[1])
-    return SparsifyResult(vec, produced, trials)
-
-
-class SparsifyReducer(ParamMixin):
-    """Estimator form of sparsify_reduce; fit pins the (integer) lattice."""
 
     def __init__(self, tau=1.0, inner=None, mode="paper", trials=1, seed=0, budget=None):
         self.tau = tau
@@ -484,14 +435,56 @@ class SparsifyReducer(ParamMixin):
         self.budget = budget
 
     def fit(self, basis):
-        check_positive("tau", self.tau)
+        check_positive("tau", as_fraction(self.tau))
+        check_count("trials", self.trials)
+        if self.mode not in ("paper", "oracle"):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if basis.rank != basis.ambient:
             raise ValueError("sparsification needs a full-rank lattice")
-        self.basis_ = basis
+        self.scale_ = basis.denominator
+        self.work_ = basis.scaled(self.scale_) if self.scale_ > 1 else basis
         return self
 
     def reduce(self, target):
-        return sparsify_reduce(
-            self.basis_, target, self.tau, inner=self.inner, seed=self.seed,
-            trials=self.trials, mode=self.mode, budget=self.budget,
-        )
+        work, scale, budget = self.work_, self.scale_, self.budget
+        tau = as_fraction(self.tau)
+        inner = _solver(self.inner, budget)
+        t = as_fraction_vector(target, work.ambient)
+        tw = tuple(scale * x for x in t) if scale > 1 else t
+
+        if self.mode == "oracle":
+            opt_sq = closest_vector(work, tw, budget=budget)[2]
+            counted = _ball_count(work, tau * tau * opt_sq, budget)
+            primes = (_next_prime(2 * counted),)
+        else:
+            bv, _ = nearest_plane(work, tw)
+            try:
+                cap = _ball_count(work, tau * tau * sqdist(bv, tw), budget)
+            except BudgetExceeded:
+                cap = None
+            top = _SWEEP if cap is None else min(_SWEEP, max(1, (2 * cap).bit_length()))
+            primes = tuple(_next_prime((1 << i) + 1) for i in range(1, top + 1))
+
+        best = None
+        produced = False
+        for k in range(int(self.trials)):
+            for j, p in enumerate(primes):
+                coset = _sample_coset(work, p, stream(self.seed, k, j))
+                y = coset.point()
+                sub = coset.sublattice()
+                try:
+                    w = inner(sub, tuple(a - b for a, b in zip(tw, y)))
+                except BudgetExceeded:
+                    w = None
+                if w is None:
+                    continue
+                cand = tuple(a + b for a, b in zip(sub.vector(w), y))
+                produced = True
+                score = sqdist(cand, tw)
+                if best is None or score < best[0]:
+                    best = (score, cand)
+        if best is None:
+            cand, _ = nearest_plane(work, tw)
+            best = (sqdist(cand, tw), cand)
+        vec = best[1] if scale == 1 else tuple(x / scale for x in best[1])
+        return SparsifyResult(vec, produced, int(self.trials))

@@ -40,8 +40,8 @@ from .reductions import (
     KannanReducer,
     PromiseReducer,
     SparseCoset,
+    SparsifyReducer,
     sparse_coset_sample,
-    sparsify_reduce,
 )
 from .rng import stream
 
@@ -375,8 +375,8 @@ def _check_reduction_membership():
     for t in _rational_targets(basis, 5, seed=41):
         for red in reducers:
             ok &= lattice_coefficients(basis, red.reduce(t)) is not None
-    res = sparsify_reduce(basis, _rational_targets(basis, 1, seed=42)[0], 1.0,
-                          seed=42, trials=4, mode="oracle")
+    sparsify = SparsifyReducer(tau=1.0, mode="oracle", trials=4, seed=42).fit(basis)
+    res = sparsify.reduce(_rational_targets(basis, 1, seed=42)[0])
     ok &= lattice_coefficients(basis, res.vector) is not None
     return Verdict("reduction-membership", ok,
                    "every reduction output is an exact lattice member")

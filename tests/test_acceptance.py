@@ -34,8 +34,8 @@ from latgauss.reductions import (
     KannanReducer,
     MasterReducer,
     PromiseReducer,
-    is_prime,
-    sparsify_reduce,
+    SparsifyReducer,
+    _next_prime,
 )
 from latgauss.rng import stream
 
@@ -194,13 +194,6 @@ def test_07_reduction_factor_audits(capsys):
                f"block-dimension breaks: {dims_bad}")
 
 
-def next_prime(lo):
-    p = max(2, lo)
-    while not is_prime(p):
-        p += 1
-    return p
-
-
 def test_08_coset_sparsification_statistics(capsys):
     basis = random_integer(5, seed=801, bound=5)
     lam = math.sqrt(float(lambda1(basis)))
@@ -208,7 +201,7 @@ def test_08_coset_sparsification_statistics(capsys):
     ball = enumerate_ball(basis, (0,) * 5, radius)
     coeff_rows = ball.coeffs.astype(np.int64)
     n_ball = len(ball)
-    p = next_prime(2 * n_ball)
+    p = _next_prime(2 * n_ball)
     draws = 10_000
     rng = stream(108, 0)
     z = rng.integers(0, p, size=(draws, 5))
@@ -231,13 +224,15 @@ def test_08_coset_sparsification_statistics(capsys):
     t = tuple(Fraction(int(v), 8) for v in stream(108, 1).integers(-40, 41, size=5))
     opt = closest_vector(basis, t)[2]
     hits = 0
+    single = SparsifyReducer(tau=1.0, trials=1, mode="oracle").fit(basis)
     for j in range(400):
-        res = sparsify_reduce(basis, t, 1.0, seed=1000 + j, trials=1, mode="oracle")
+        res = single.set_params(seed=1000 + j).reduce(t)
         hits += res.ok and sqdist(res.vector, t) <= 2 * opt
     rate_ok = hits / 400 >= 1.0 / 400
     e2e = 0
+    best_of = SparsifyReducer(tau=1.0, trials=3000, mode="oracle").fit(basis)
     for j in range(5):
-        res = sparsify_reduce(basis, t, 1.0, seed=2000 + j, trials=3000, mode="oracle")
+        res = best_of.set_params(seed=2000 + j).reduce(t)
         e2e += res.ok and sqdist(res.vector, t) <= 2 * opt
     ok = ok1 and ok2 and rate_ok and e2e == 5
     report(capsys, 8, "sparsified cosets keep short vectors out and succeed often",

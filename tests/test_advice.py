@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latgauss.advice import (
-    DenominatorTooSmall,
-    GaussianAdvice,
-    advice_count,
-    default_denom_floor,
-    generate_advice,
-)
+from latgauss.advice import GaussianAdvice, advice_count, default_denom_floor, generate_advice
+from latgauss.decoder import BddDecoder
 from latgauss.gaussian import PeriodicGaussian, smoothing_parameter
 from latgauss.generators import (
     checkerboard,
@@ -97,19 +92,23 @@ def test_step_moves_toward_the_lattice_point():
     scaled = base.scaled(Fraction(eta))
     adv = generate_advice(scaled, eps, 20000, seed=6)
     t = np.array([0.10, -0.08, 0.06])
-    stepped = adv.step(t)
-    assert np.linalg.norm(stepped) < 0.5 * np.linalg.norm(t)
+    stepped, vals = adv.step_batch(t)
+    assert adv.clears_guard(t, vals, default_denom_floor(eps))[0]
+    assert np.linalg.norm(stepped[0]) < 0.5 * np.linalg.norm(t)
 
 
 def test_step_rejects_small_denominators():
     basis = integer_identity(1)
     adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0)
-    with pytest.raises(DenominatorTooSmall) as info:
-        adv.step(np.array([0.25]))
-    assert info.value.floor == default_denom_floor(1e-3)
-    # an explicit floor of zero lets the same query through
-    out = adv.step(np.array([0.2]), floor=0.0)
-    assert out.shape == (1,)
+    t = np.array([0.25])
+    out, vals = adv.step_batch(t)
+    assert not adv.clears_guard(t, vals, default_denom_floor(1e-3))[0]
+    assert out[0, 0] == 0.25
+    # an explicit floor of zero lets a query at 0.2 through
+    t = np.array([0.2])
+    out, vals = adv.step_batch(t, floor=0.0)
+    assert adv.clears_guard(t, vals, 0.0)[0]
+    assert out[0, 0] != 0.2
 
 
 def test_step_batch_freezes_rows_below_the_floor():
@@ -121,7 +120,8 @@ def test_step_batch_freezes_rows_below_the_floor():
     assert abs(vals[1]) < floor
     assert out[1, 0] == 0.25
     assert out[0, 0] != 0.05
-    assert out[0, 0] == pytest.approx(adv.step(np.array([0.05]), floor=0.0)[0], abs=1e-14)
+    alone, _ = adv.step_batch(np.array([0.05]), floor=0.0)
+    assert out[0, 0] == pytest.approx(alone[0, 0], abs=1e-14)
     single, _ = adv.step_batch(np.array([0.05]))
     assert single.shape == (1, 1)
 
@@ -151,36 +151,37 @@ def test_generate_advice_distinct_seeds_differ():
 
 
 def test_save_and_load_roundtrip(tmp_path):
-    basis, adv = small_advice(seed=10, count=64)
-    path = tmp_path / "advice.txt"
-    adv.save(path)
-    back = GaussianAdvice.load(path, basis)
+    # the decoder file is the one file format for advice
+    dec = BddDecoder(1e-3, n_advice=64, seed=10).fit(integer_identity(3))
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    adv, back = dec.advice_, BddDecoder.load(path).advice_
     assert np.array_equal(back.coeffs, adv.coeffs)
+    assert np.array_equal(back.vectors, adv.vectors)
     assert back.eps == adv.eps and back.seed == adv.seed
     t = np.array([0.3, 0.1, -0.2])
     assert back.f(t) == adv.f(t)
 
 
 def test_load_rejects_malformed_files(tmp_path):
-    basis = integer_identity(2)
-    path = tmp_path / "advice.txt"
-    path.write_text("3 0.001 0\n1 0\n0 1\n")
-    with pytest.raises(ValueError):
-        GaussianAdvice.load(path, basis)
-    path.write_text("3 0.001 0 1\n1 0\n0 1\n")
-    with pytest.raises(ValueError):
-        GaussianAdvice.load(path, basis)
+    # a decoder file for Z^2 whose advice header is short, then one whose
+    # advice count exceeds its rows
+    path = tmp_path / "decoder.txt"
+    for head in ("advice 2 0.001 0", "advice 3 0.001 0 1"):
+        path.write_text(f"latgauss-decoder 1\n2 2\n1 0\n0 1\n{head}\n1 0\n0 1\n"
+                        "frame 0 1\n1 0\n0 1\n")
+        with pytest.raises(ValueError):
+            BddDecoder.load(path)
 
 
 def test_save_records_the_source_scale(tmp_path):
     basis = integer_identity(2)
-    scaled_adv = GaussianAdvice(basis.scaled(Fraction(3, 2)), [[1, 0], [0, 1]],
-                                eps=1e-3, seed=0, source_scale=Fraction(3, 2))
-    path = tmp_path / "advice.txt"
-    scaled_adv.save(path)
-    back = GaussianAdvice.load(path, basis)
-    assert back.basis == basis.scaled(Fraction(3, 2))
-    assert back.source_scale == Fraction(3, 2)
+    dec = BddDecoder(1e-3, n_advice=64, seed=0).fit(basis)
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    back = BddDecoder.load(path)
+    assert back.scale_ == dec.scale_ != 1
+    assert back.advice_.basis == basis.scaled(dec.scale_)
 
 
 # advice on a generic lattice, and on one whose dual rows are dyadic so the
@@ -237,26 +238,7 @@ def test_kernel_err_is_small_near_the_lattice_and_grows_with_the_target():
 def test_guard_trips_on_a_huge_target():
     _, adv = small_advice()
     t = np.full(3, 1e300)
-    with pytest.raises(DenominatorTooSmall):
-        adv.step(t)
     out, vals = adv.step_batch(t)
     assert np.array_equal(out[0], t)
     assert not adv.clears_guard(t, vals, 0.0)[0]
     assert adv.clears_guard(np.zeros(3), adv.f_batch(np.zeros((1, 3))), 0.5)[0]
-
-
-def test_save_load_save_gives_identical_bytes(tmp_path):
-    basis, adv = small_advice(seed=14, count=80)
-    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-    adv.save(first)
-    GaussianAdvice.load(first, basis).save(second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-@pytest.mark.parametrize("rows", ["1 0\n0 x\n", "1 0\n0 1.5\n", "1 0\n0\n",
-                                  "1 0\n0 99999999999999999999\n"])
-def test_load_rejects_malformed_rows(tmp_path, rows):
-    path = tmp_path / "advice.txt"
-    path.write_text("2 0.001 0 1\n" + rows)
-    with pytest.raises(ValueError):
-        GaussianAdvice.load(path, integer_identity(2))

@@ -16,8 +16,8 @@ from latgauss.decoder import (
     bdd_param_plan,
     decoding_radius,
     iteration_count,
-    preprocess,
 )
+from latgauss.cli import main
 from latgauss.enumeration import closest_vector, lambda1
 from latgauss.generators import (
     checkerboard,
@@ -25,7 +25,7 @@ from latgauss.generators import (
     random_dual_orthogonal,
     random_integer,
 )
-from latgauss.lattice import lattice_coefficients
+from latgauss.lattice import lattice_coefficients, write_basis
 from latgauss.rng import stream
 
 
@@ -110,9 +110,7 @@ def test_decode_batch_matches_single_decodes():
         for (n1, v1), (n2, v2) in zip(single.trace, res.trace):
             assert n1 == pytest.approx(n2, abs=1e-12)
             assert v1 == pytest.approx(v2, abs=1e-12)
-    preds = dec.predict(ts)
-    assert preds.shape == (3, 2)
-    assert preds[2] == pytest.approx([0.0, 0.0])
+    assert batch[2].vector == (0, 0)
 
 
 def test_decode_trace_and_iteration_budget():
@@ -191,12 +189,16 @@ def test_load_rejects_a_bad_header(tmp_path):
         BddDecoder.load(path)
 
 
-def test_preprocess_is_fit_shorthand():
+def test_preprocess_is_fit_shorthand(tmp_path, capsys):
+    # the CLI preprocess verb writes exactly what fit then save writes
     basis = random_dual_orthogonal(2, seed=9)
-    dec = preprocess(basis, 1e-3, n_advice=500, seed=9)
-    ref = BddDecoder(1e-3, n_advice=500, seed=9).fit(basis)
-    assert dec.radius_ == ref.radius_
-    assert np.array_equal(dec.advice_.coeffs, ref.advice_.coeffs)
+    lat, cli_out, ref_out = tmp_path / "lat.txt", tmp_path / "a.txt", tmp_path / "b.txt"
+    write_basis(lat, basis)
+    assert main(["preprocess", "--lattice", str(lat), "--eps", "1e-3", "--n-advice", "500",
+                 "--seed", "9", "--out", str(cli_out)]) == 0
+    capsys.readouterr()
+    BddDecoder(1e-3, n_advice=500, seed=9).fit(basis).save(ref_out)
+    assert cli_out.read_bytes() == ref_out.read_bytes()
 
 
 def test_param_mixin_roundtrip():
@@ -308,6 +310,9 @@ def test_load_rejects_every_truncation(tmp_path):
     (2, "1/0"),        # basis entry
     (4, "-4"),         # advice count
     (5, "1.5"),        # advice coefficient
+    (5, "x"),          # advice coefficient
+    (5, "99999999999999999999"),  # advice coefficient past int64
+    (5, ""),           # advice row one entry short
     (-3, "-1"),        # frame index
     (-3, "99"),        # frame index past the advice
     (-1, "1/0"),       # frame entry

@@ -7,7 +7,7 @@ import pytest
 from latgauss.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    config_hash,
+    _config_hash,
     parse_config,
     run_experiment,
 )
@@ -44,9 +44,9 @@ def test_parse_config_rejects_unknown_and_missing_keys():
 def test_config_hash_changes_with_any_field():
     a = ExperimentConfig(experiment="contraction", seed=1)
     b = ExperimentConfig(experiment="contraction", seed=2)
-    assert len(config_hash(a)) == 12
-    assert config_hash(a) != config_hash(b)
-    assert config_hash(a) == config_hash(ExperimentConfig(experiment="contraction", seed=1))
+    assert len(_config_hash(a)) == 12
+    assert _config_hash(a) != _config_hash(b)
+    assert _config_hash(a) == _config_hash(ExperimentConfig(experiment="contraction", seed=1))
 
 
 def test_every_runner_is_registered():
@@ -65,7 +65,7 @@ def test_csv_rows_carry_the_config_hash_and_seed():
     assert report.ok
     lines = report.csv().splitlines()
     assert lines[0].endswith("config,seed")
-    tag = config_hash(cfg)
+    tag = _config_hash(cfg)
     for row in lines[1:]:
         assert row.endswith(f"{tag},3")
     assert len(lines) == 6
@@ -138,7 +138,7 @@ def test_reduction_audit_csv_is_pinned():
 
 
 # small configurations of the runners that draw advice, decode, and sparsify;
-# each digest was recorded before those paths were merged into one
+# the digests pin the sampler, the decoder and the coset reduction end to end
 PINNED_CSVS = {
     "sparsify-audit": (
         "experiment = sparsify-audit\nlattice = random-integer:3\nseed = 4\ntau = 1.0\n"

@@ -17,7 +17,6 @@ from latgauss.gaussian import (
     decoding_width,
     density_envelope,
     gaussian_mass,
-    periodic_gaussian,
     periodic_gaussian_interval,
     sample_lattice_gaussian,
     smoothing_parameter,
@@ -74,7 +73,8 @@ def test_periodic_gaussian_reference_values():
     lo, hi = periodic_gaussian_interval(z1, (Fraction(1, 2),))
     assert lo <= F_Z_HALF <= hi
     assert hi - lo < 1e-10
-    assert periodic_gaussian(z1, (Fraction(1, 3),)) == pytest.approx(F_Z_THIRD, abs=1e-10)
+    lo, hi = periodic_gaussian_interval(z1, (Fraction(1, 3),))
+    assert 0.5 * (lo + hi) == pytest.approx(F_Z_THIRD, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

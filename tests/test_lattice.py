@@ -1,14 +1,18 @@
 """Exact rational basis layer: Gram-Schmidt, duals, projections, Babai."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latgauss.advice import generate_advice
+from latgauss.enumeration import closest_vector
 from latgauss.generators import checkerboard, random_integer
 from latgauss.lattice import (
     LatticeBasis,
+    _span_coefficients,
     format_basis,
     invert_matrix,
     lattice_coefficients,
@@ -18,7 +22,6 @@ from latgauss.lattice import (
     project_lattice,
     project_onto_prefix,
     solve_linear,
-    span_coefficients,
     sqdist,
     sqnorm,
 )
@@ -78,15 +81,15 @@ def test_vector_and_coefficient_roundtrip():
     coeffs = (2, -1, 0, 5)
     vec = basis.vector(coeffs)
     assert lattice_coefficients(basis, vec) == coeffs
-    assert span_coefficients(basis, vec) == coeffs
+    assert _span_coefficients(basis, vec) == coeffs
     off = tuple(v + Fraction(1, 2) for v in vec)
     assert lattice_coefficients(basis, off) is None
 
 
 def test_span_coefficients_project_onto_the_span():
     basis = LatticeBasis([(1, 0, 0), (0, 1, 0)])
-    assert span_coefficients(basis, (1, 2, 0)) == (1, 2)
-    assert span_coefficients(basis, (3, -1, 7)) == (3, -1)
+    assert _span_coefficients(basis, (1, 2, 0)) == (1, 2)
+    assert _span_coefficients(basis, (3, -1, 7)) == (3, -1)
     assert lattice_coefficients(basis, (0, 0, 1)) is None
 
 
@@ -217,3 +220,15 @@ def test_nearest_plane_outputs_lattice_points(rows, target):
     vec, coeffs = nearest_plane(basis, target)
     assert lattice_coefficients(basis, vec) == coeffs
     assert sqdist(vec, target) <= sum(basis.gram_schmidt.sqnorms) / 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_fail_at_the_boundary(bad):
+    basis = random_integer(3)
+    with pytest.raises(ValueError, match="must be finite"):
+        closest_vector(basis, (bad, 0, 0))
+    with pytest.raises(ValueError, match="must be finite"):
+        LatticeBasis([(bad, 0), (0, 1)])
+    adv = generate_advice(basis, 1e-3, 20, seed=0)
+    with pytest.raises(ValueError, match="must be finite"):
+        adv.f([bad, 0, 0])

@@ -13,12 +13,11 @@ from latgauss.reductions import (
     PromiseReducer,
     SparseCoset,
     SparsifyReducer,
+    _is_prime,
+    _master_indices,
     bdd_inner,
-    is_prime,
-    master_indices,
     oracle_inner,
     sparse_coset_sample,
-    sparsify_reduce,
 )
 from latgauss.rng import stream
 
@@ -99,24 +98,24 @@ def test_kannan_rejects_nonpositive_alpha():
 
 
 def test_master_indices_frozen_profiles():
-    assert master_indices(integer_identity(5), 1.0, 0) == (5, 0)
-    assert master_indices(integer_identity(8), 1.0, 0) == (8, 0)
-    assert master_indices(diag([16, 8, 4, 2, 1]), 1.0, 0) == (5, 0)
-    assert master_indices(diag([1, 2, 4, 8, 16]), 1.0, 0) == (5, 4, 3, 2, 1, 0)
-    assert master_indices(diag([1, 4, 16, 64, 256]), 1.0, 0) == (5, 4, 3, 2, 1, 0)
+    assert _master_indices(integer_identity(5), 1.0, 0) == (5, 0)
+    assert _master_indices(integer_identity(8), 1.0, 0) == (8, 0)
+    assert _master_indices(diag([16, 8, 4, 2, 1]), 1.0, 0) == (5, 0)
+    assert _master_indices(diag([1, 2, 4, 8, 16]), 1.0, 0) == (5, 4, 3, 2, 1, 0)
+    assert _master_indices(diag([1, 4, 16, 64, 256]), 1.0, 0) == (5, 4, 3, 2, 1, 0)
     # a coarser separation factor skips profile steps below the factor
-    assert master_indices(diag([1, 2, 4, 8, 16]), 2.0, 0) == (5, 3, 1, 0)
-    assert master_indices(diag([1, 2, 4, 8, 16]), 4.0, 0) == (5, 2, 0)
+    assert _master_indices(diag([1, 2, 4, 8, 16]), 2.0, 0) == (5, 3, 1, 0)
+    assert _master_indices(diag([1, 2, 4, 8, 16]), 4.0, 0) == (5, 2, 0)
 
 
 def test_master_indices_validates_parameters():
     basis = integer_identity(4)
     with pytest.raises(ValueError):
-        master_indices(basis, 0.5, 0)
+        _master_indices(basis, 0.5, 0)
     with pytest.raises(ValueError):
-        master_indices(basis, 1.0, 4)
+        _master_indices(basis, 1.0, 4)
     with pytest.raises(ValueError):
-        master_indices(basis, 3.0, 3)
+        _master_indices(basis, 3.0, 3)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 5))
@@ -175,12 +174,12 @@ def test_is_prime_agrees_with_trial_division():
         return True
 
     for m in range(-3, 2000):
-        assert is_prime(m) == slow(m)
+        assert _is_prime(m) == slow(m)
     # Carmichael numbers and a large Mersenne prime
     for m in (561, 1105, 1729, 41041, 512461):
-        assert not is_prime(m)
-    assert is_prime(2**31 - 1)
-    assert not is_prime(2**31)
+        assert not _is_prime(m)
+    assert _is_prime(2**31 - 1)
+    assert not _is_prime(2**31)
 
 
 def test_sparse_coset_membership_and_index():
@@ -214,10 +213,12 @@ def test_sparsify_reduce_finds_a_close_vector(mode):
     basis = random_integer(3, seed=9)
     t = frac_vector((11, -6, 3), 8)
     opt = closest_vector(basis, t)[2]
-    res = sparsify_reduce(basis, t, 1.0, seed=3, trials=40, mode=mode)
+    res = SparsifyReducer(tau=1.0, seed=3, trials=40, mode=mode).fit(basis).reduce(t)
     assert res.trials == 40
     assert res.ok
     assert sqdist(res.vector, t) <= 2 * opt
+    # pins the exact answer in both modes
+    assert res.vector == (1, -1, 0)
 
 
 def test_sparsify_reduce_failure_falls_back_to_babai():
@@ -227,7 +228,7 @@ def test_sparsify_reduce_failure_falls_back_to_babai():
     def refusing(sub, target):
         return None
 
-    res = sparsify_reduce(basis, t, 1.0, inner=refusing, seed=0, trials=3)
+    res = SparsifyReducer(tau=1.0, inner=refusing, seed=0, trials=3).fit(basis).reduce(t)
     assert not res.ok
     assert res.vector == nearest_plane(basis, t)[0]
 
@@ -235,45 +236,45 @@ def test_sparsify_reduce_failure_falls_back_to_babai():
 def test_sparsify_reduce_treats_budget_overruns_as_failures():
     basis = random_integer(3, seed=11)
     t = frac_vector((5, 1, -9), 4)
-    res = sparsify_reduce(basis, t, 1.0, inner=oracle_inner(budget=1), seed=0, trials=2)
+    red = SparsifyReducer(tau=1.0, inner=oracle_inner(budget=1), seed=0, trials=2)
+    res = red.fit(basis).reduce(t)
     assert not res.ok
 
 
 def test_sparsify_reduce_validates_inputs():
     basis = random_integer(2, seed=12)
     with pytest.raises(ValueError):
-        sparsify_reduce(basis, (0, 0), 0.0)
+        SparsifyReducer(tau=0.0).fit(basis)
     with pytest.raises(ValueError):
-        sparsify_reduce(basis, (0, 0), 1.0, mode="weird")
+        SparsifyReducer(mode="weird").fit(basis)
+    with pytest.raises(ValueError):
+        SparsifyReducer(trials=0).fit(basis)
     rect = LatticeBasis([(1, 0)])
     with pytest.raises(ValueError):
-        sparsify_reduce(rect, (0, 0), 1.0)
+        SparsifyReducer().fit(rect)
+    with pytest.raises(ValueError):
+        SparsifyReducer().fit(basis).reduce((0, 0, 0))
 
 
 def test_sparsify_reducer_estimator_roundtrip():
     basis = random_integer(3, seed=13)
     t = frac_vector((3, 8, -1), 2)
-    red = SparsifyReducer(tau=1.0, mode="oracle", trials=5, seed=4).fit(basis)
-    res = red.reduce(t)
-    same = sparsify_reduce(basis, t, 1.0, seed=4, trials=5, mode="oracle")
-    assert res.vector == same.vector and res.ok == same.ok
+    # one fit serves queries under any seed, as the sparsify audit uses it
+    red = SparsifyReducer(tau=1.0, mode="oracle", trials=5, seed=0).fit(basis)
+    res = red.set_params(seed=4).reduce(t)
+    same = SparsifyReducer(tau=1.0, mode="oracle", trials=5, seed=4).fit(basis).reduce(t)
+    assert res == same
+    assert red.get_params()["seed"] == 4
 
 
 def test_sparsify_reduce_scales_rational_bases():
     basis = random_integer(3, seed=14).scaled(Fraction(1, 2))
     t = frac_vector((3, -2, 5), 4)
     opt = closest_vector(basis, t)[2]
-    res = sparsify_reduce(basis, t, 1.0, seed=5, trials=30, mode="oracle")
+    res = SparsifyReducer(tau=1.0, seed=5, trials=30, mode="oracle").fit(basis).reduce(t)
     assert res.ok
     assert lattice_coefficients(basis, res.vector) is not None
     assert sqdist(res.vector, t) <= 2 * opt
-
-
-def test_sparsify_reducer_paper_mode_is_pinned():
-    basis = random_integer(3, seed=9)
-    t = frac_vector((11, -6, 3), 8)
-    res = SparsifyReducer(tau=1.0, mode="paper", trials=40, seed=3).fit(basis).reduce(t)
-    assert res.vector == (1, -1, 0) and res.ok and res.trials == 40
 
 
 def test_promise_reducer_preserves_the_lattice():
