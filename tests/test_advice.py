@@ -242,3 +242,25 @@ def test_guard_trips_on_a_huge_target():
     assert np.array_equal(out[0], t)
     assert not adv.clears_guard(t, vals, 0.0)[0]
     assert adv.clears_guard(np.zeros(3), adv.f_batch(np.zeros((1, 3))), 0.5)[0]
+
+
+def test_save_load_save_gives_identical_bytes(tmp_path):
+    # the advice rows survive a decoder file round trip byte for byte
+    dec = BddDecoder(1e-3, n_advice=80, seed=14).fit(integer_identity(3))
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    dec.save(first)
+    back = BddDecoder.load(first)
+    back.save(second)
+    assert np.array_equal(back.advice_.coeffs, dec.advice_.coeffs)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("rows", ["1 0\n0 x\n", "1 0\n0 1.5\n", "1 0\n0\n",
+                                  "1 0\n0 99999999999999999999\n"])
+def test_load_rejects_malformed_rows(tmp_path, rows):
+    # the advice section of a decoder file for Z^2; with rows "1 0\n0 1\n" it loads
+    path = tmp_path / "decoder.txt"
+    path.write_text("latgauss-decoder 1\n2 2\n1 0\n0 1\nadvice 2 0.001 0 1\n" + rows
+                    + "frame 0 1\n1 0\n0 1\n")
+    with pytest.raises(ValueError):
+        BddDecoder.load(path)
