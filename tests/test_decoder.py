@@ -353,3 +353,25 @@ def test_huge_targets_trip_the_guard():
     assert res.status == GUARD
     assert res.iterations_run == 0
     assert res.trace and all(math.isfinite(norm) for norm, _ in res.trace)
+
+
+def test_decode_outputs_are_pinned():
+    # 10,007 draws span two kernel tiles, the second one partial; every fourth
+    # target is a uniform point of a box of cells, so some decodes trip the guard
+    basis = random_dual_orthogonal(6, seed=5)
+    dec = BddDecoder(1e-3, n_advice=10007, seed=5).fit(basis)
+    rng = stream(55)
+    rows = []
+    for k in range(64):
+        if k % 4 == 3:
+            rows.append(rng.uniform(-3, 3, size=6) @ basis.float_rows)
+            continue
+        point = basis.vector([int(c) for c in rng.integers(-3, 4, size=6)])
+        u = rng.normal(size=6)
+        offset = 0.9 * dec.radius_ * rng.random() * u / np.linalg.norm(u)
+        rows.append(np.array([float(x) for x in point]) + offset)
+    res = dec.decode_batch(np.array(rows))
+    assert sum(r.status == EXACT for r in res) == 49
+    key = repr([(r.status, r.vector, r.coeffs, r.iterations_run) for r in res])
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    assert digest == "c5c64dfd9c6293035505e921d2534b1f7ce014e6d18080f201f9f2be559be302"
