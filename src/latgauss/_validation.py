@@ -82,7 +82,11 @@ def as_integer(x):
 
 
 def check_count(name, k):
-    k = int(k)
-    if k <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {k}")
-    return k
+    """k as a positive int; a fractional count is rejected, not truncated."""
+    try:
+        count = as_integer(k)
+    except (TypeError, ValueError):
+        count = 0
+    if count <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {k!r}")
+    return count

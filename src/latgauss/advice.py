@@ -20,8 +20,11 @@ from .rng import stream
 
 _PI = math.pi
 
-# cap on entries of one targets-by-advice phase block, to bound peak memory
-_CHUNK_ENTRIES = 1 << 23
+# the kernel walks the targets-by-advice phase matrix in tiles of at most
+# _TILE_ROWS targets by _TILE_COLS draws, so that its four reused buffers
+# (24 bytes per entry) stay within a 2 MiB L2 cache
+_TILE_COLS = 8192
+_TILE_ROWS = 8
 
 
 def default_denom_floor(eps):
@@ -47,7 +50,9 @@ class GaussianAdvice:
 
     f, grad and hessian evaluate in float64 and are the reference. The
     batched f_batch and step_batch reduce the phases mod 1 in float64 and
-    take cos and sin in float32; kernel_err bounds what that adds.
+    take cos and sin in float32, one cache-sized tile of targets by draws
+    at a time; kernel_err bounds what that adds. vectors is column-major,
+    so each coordinate of the draws is contiguous within a tile.
     """
 
     def __init__(self, basis, coeffs, eps, seed):
@@ -64,7 +69,8 @@ class GaussianAdvice:
         self.coeffs = coeffs
         self.eps = check_eps(eps)
         self.seed = int(seed)
-        self.vectors = coeffs.astype(np.float64) @ basis.dual.float_rows
+        # the transpose of the n x N product: column-major, with no second copy
+        self.vectors = (basis.dual.float_rows.T @ coeffs.T.astype(np.float64)).T
         wmax = float(np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors).max()))
         self._err_const = (_PI + 4.0) * 2.0 ** -24 + len(self) * 2.0 ** -53
         self._err_slope = 2.0 * _PI * (basis.rank + 1) * 2.0 ** -53 * wmax
@@ -82,26 +88,31 @@ class GaussianAdvice:
         """Exact coordinates of the i-th draw."""
         return self.basis.dual.vector([int(c) for c in self.coeffs[i]])
 
-    def _phases(self, t):
-        return 2.0 * _PI * (self.vectors @ t)
+    def _reference(self, t):
+        """Row-major draws and their float64 phases 2 pi <w_i, t>.
+
+        The reference works on a row-major copy of vectors: BLAS sums each
+        product in an order set by the layout, and this one keeps f, grad
+        and hessian equal bit for bit to their values before the kernel
+        went column-major.
+        """
+        w = np.ascontiguousarray(self.vectors)
+        return w, 2.0 * _PI * (w @ as_float_vector(t, self.basis.ambient))
 
     def f(self, t):
         """The estimator value: mean of cos(2 pi <w_i, t>), in [-1, 1]."""
-        t = as_float_vector(t, self.basis.ambient)
-        return float(np.cos(self._phases(t)).mean())
+        _, phases = self._reference(t)
+        return float(np.cos(phases).mean())
 
     def grad(self, t):
         """Gradient -(2 pi / N) sum of w_i sin(2 pi <w_i, t>)."""
-        t = as_float_vector(t, self.basis.ambient)
-        sins = np.sin(self._phases(t))
-        return -(2.0 * _PI / len(self)) * (self.vectors.T @ sins)
+        w, phases = self._reference(t)
+        return -(2.0 * _PI / len(self)) * (w.T @ np.sin(phases))
 
     def hessian(self, t):
         """Hessian -(4 pi^2 / N) sum of w_i w_i^T cos(2 pi <w_i, t>)."""
-        t = as_float_vector(t, self.basis.ambient)
-        coss = np.cos(self._phases(t))
-        w = self.vectors
-        return -(4.0 * _PI * _PI / len(self)) * ((w * coss[:, None]).T @ w)
+        w, phases = self._reference(t)
+        return -(4.0 * _PI * _PI / len(self)) * ((w * np.cos(phases)[:, None]).T @ w)
 
     def kernel_err(self, ts):
         """Bound on |f_batch(t) - f(t)| for each row t of ts.
@@ -121,7 +132,9 @@ class GaussianAdvice:
           (1.2 * 2^-24 measured over [-pi, pi]); 4 * 2^-24 is charged,
           which also covers the float64 product with 2 pi (2 pi * 2^-53);
         - the float64 mean of N terms of size at most 1 errs by at most
-          N * 2^-53.
+          N * 2^-53, the bound for summing them one after another. The
+          kernel sums each tile of draws pairwise and adds the tile sums
+          in sequence, which only lowers this term, so the charge stands.
 
         The sine sums behind step_batch carry the same error per draw, so
         the gradient -(2 pi / N) sum w_i sin(2 pi <w_i, t>) that step_batch
@@ -141,28 +154,48 @@ class GaussianAdvice:
         """
         return np.abs(vals) - self.kernel_err(ts) >= floor
 
-    def _kernel(self, block, grad):
-        """Estimator values of the rows of block and, when grad is set, the
-        sums sum_i w_i sin(2 pi <w_i, t>); see kernel_err for the error."""
-        x = block @ self.vectors.T
-        x -= np.rint(x)
-        phase = np.empty(x.shape, dtype=np.float32)
-        np.multiply(x, 2.0 * _PI, out=phase, casting="unsafe")
-        vals = np.cos(phase).mean(axis=1, dtype=np.float64)
-        if not grad:
-            return vals, None
-        np.sin(phase, out=phase)
-        x[...] = phase
-        return vals, x @ self.vectors
+    def _kernel(self, ts, grad):
+        """Estimator values of the rows of ts and, when grad is set, the sums
+        sum_i w_i sin(2 pi <w_i, t>); see kernel_err for the error.
+
+        The phases are taken tile by tile, every tile in the same four
+        buffers, and the cosine and sine sums accumulate in float64.
+        """
+        k, n = ts.shape
+        big = len(self)
+        rows, cols = min(k, _TILE_ROWS), min(big, _TILE_COLS)
+        x_buf = np.empty(rows * cols)
+        r_buf = np.empty(rows * cols)
+        p_buf = np.empty(rows * cols, dtype=np.float32)
+        c_buf = np.empty(rows * cols, dtype=np.float32)
+        sums = np.zeros(k)
+        grads = np.zeros((k, n)) if grad else None
+        for r0 in range(0, k, rows):
+            block = ts[r0:r0 + rows]
+            for c0 in range(0, big, cols):
+                w = self.vectors[c0:c0 + cols]
+                shape = (block.shape[0], w.shape[0])
+                size = shape[0] * shape[1]
+                x = x_buf[:size].reshape(shape)
+                r = r_buf[:size].reshape(shape)
+                phase = p_buf[:size].reshape(shape)
+                trig = c_buf[:size].reshape(shape)
+                np.matmul(block, w.T, out=x)
+                np.rint(x, out=r)
+                np.subtract(x, r, out=x)
+                np.multiply(x, 2.0 * _PI, out=phase, casting="unsafe")
+                np.cos(phase, out=trig)
+                sums[r0:r0 + rows] += trig.sum(axis=1, dtype=np.float64)
+                if grad:
+                    np.sin(phase, out=trig)
+                    r[...] = trig
+                    grads[r0:r0 + rows] += r @ w
+        return sums / big, grads
 
     def f_batch(self, ts):
         """Estimator values of the rows of ts, within kernel_err of f."""
         ts = np.atleast_2d(np.asarray(ts, dtype=np.float64))
-        out = np.empty(ts.shape[0])
-        chunk = max(1, _CHUNK_ENTRIES // len(self))
-        for k in range(0, ts.shape[0], chunk):
-            out[k:k + chunk], _ = self._kernel(ts[k:k + chunk], grad=False)
-        return out
+        return self._kernel(ts, grad=False)[0]
 
     def step_batch(self, ts, floor=None):
         """Vectorized gradient steps over the rows of ts.
@@ -173,14 +206,9 @@ class GaussianAdvice:
         """
         ts = np.array(np.atleast_2d(ts), dtype=np.float64)
         floor = default_denom_floor(self.eps) if floor is None else float(floor)
-        vals = np.empty(ts.shape[0])
-        chunk = max(1, _CHUNK_ENTRIES // len(self))
-        for k in range(0, ts.shape[0], chunk):
-            block = ts[k:k + chunk]
-            f, sines = self._kernel(block, grad=True)
-            vals[k:k + chunk] = f
-            ok = self.clears_guard(block, f, floor)
-            block[ok] -= sines[ok] / (len(self) * f[ok, None])
+        vals, sines = self._kernel(ts, grad=True)
+        ok = self.clears_guard(ts, vals, floor)
+        ts[ok] -= sines[ok] / (len(self) * vals[ok, None])
         return ts, vals
 
 

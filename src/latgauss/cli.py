@@ -59,7 +59,7 @@ def _cmd_preprocess(args):
 def _cmd_decode(args):
     dec = BddDecoder.load(args.advice)
     target = _parse_target(args.target, dec.basis_.ambient)
-    res = dec.decode([float(x) for x in target])
+    res = dec.decode([float(x) for x in target], trace=args.trace)
     print("vector = " + " ".join(str(x) for x in res.vector))
     if res.coeffs is not None:
         print("coeffs = " + " ".join(str(c) for c in res.coeffs))
@@ -147,7 +147,8 @@ def main(argv=None):
     p = sub.add_parser("decode", help="decode a target with saved advice")
     p.add_argument("--advice", required=True, help="decoder state file")
     p.add_argument("--target", required=True, help="comma-separated coordinates")
-    p.add_argument("--trace", action="store_true", help="print the ascent trace")
+    p.add_argument("--trace", action="store_true",
+                   help="record and print the ascent trace (one more pass over the advice)")
     p.set_defaults(run=_cmd_decode)
 
     p = sub.add_parser("reduce", help="approximate CVP through promise queries")

@@ -90,8 +90,10 @@ class DecodeResult:
 
     vector is exact (a tuple of rationals); coeffs are its coefficients
     over the fitted basis, or None when the rounded output is not a lattice
-    point. trace holds one (norm of the iterate in scaled units, estimator
-    value) pair per visited iterate.
+    point. trace is () unless the decode was asked for it with trace=True;
+    then it holds one (norm of the iterate in scaled units, estimator
+    value) pair per visited iterate, iterations_ + 1 of them when no guard
+    trips. The other fields do not depend on trace.
     """
 
     vector: tuple
@@ -274,8 +276,12 @@ class BddDecoder(ParamMixin):
         if getattr(self, "basis_", None) is None:
             raise RuntimeError("decoder is not fitted; call fit(basis) first")
 
-    def decode_batch(self, targets):
-        """One DecodeResult per row of targets."""
+    def decode_batch(self, targets, trace=False):
+        """One DecodeResult per row of targets.
+
+        With trace set, each result also records its ascent trace, which
+        costs one more kernel pass over the advice for the final iterates.
+        """
         self._check_fitted()
         ts = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         if ts.shape[1] != self.basis_.ambient:
@@ -291,23 +297,25 @@ class BddDecoder(ParamMixin):
         k = cur.shape[0]
         guarded_at = np.full(k, -1)
         traces = [[] for _ in range(k)]
+
+        def record(live, vals):
+            norms = np.hypot.reduce(cur[live], axis=1)
+            for j, i in enumerate(live):
+                traces[i].append((float(norms[j]), float(vals[j])))
+
         for it in range(self.iterations_):
             live = np.flatnonzero(guarded_at < 0)
             if live.size == 0:
                 break
             stepped, vals = self.advice_.step_batch(cur[live], floor)
-            norms = np.hypot.reduce(cur[live], axis=1)
-            for j, i in enumerate(live):
-                traces[i].append((float(norms[j]), float(vals[j])))
+            if trace:
+                record(live, vals)
             tripped = ~self.advice_.clears_guard(cur[live], vals, floor)
             cur[live[~tripped]] = stepped[~tripped]
             guarded_at[live[tripped]] = it
         live = np.flatnonzero(guarded_at < 0)
-        if live.size:
-            vals = self.advice_.f_batch(cur[live])
-            norms = np.hypot.reduce(cur[live], axis=1)
-            for j, i in enumerate(live):
-                traces[i].append((float(norms[j]), float(vals[j])))
+        if trace and live.size:
+            record(live, self.advice_.f_batch(cur[live]))
         rounded = cur @ self._vstar_float.T
         if not np.isfinite(rounded).all():
             raise ValueError("targets are too large to round against the frame")
@@ -344,8 +352,9 @@ class BddDecoder(ParamMixin):
             )
         return out
 
-    def decode(self, target):
-        return self.decode_batch([target])[0]
+    def decode(self, target, trace=False):
+        """decode_batch of the single row target."""
+        return self.decode_batch([target], trace=trace)[0]
 
     def save(self, path):
         """Write the full decoding state: basis, advice, frame, all exact."""
@@ -384,7 +393,7 @@ class BddDecoder(ParamMixin):
         head = _read_fields(lines, pos, "advice header")
         if len(head) != 5 or head[0] != "advice":
             raise ValueError("decoder file is missing its advice header")
-        count, eps, seed = check_count("advice count", head[1]), float(head[2]), int(head[3])
+        count, eps, seed = check_count("advice count", int(head[1])), float(head[2]), int(head[3])
         scale = parse_fraction(head[4])
         pos += 1
         coeffs = _read_rows(lines[pos:pos + count], count, n)

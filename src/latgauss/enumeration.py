@@ -301,6 +301,10 @@ def closest_vector(basis, target, budget=None, radius=None):
     With radius given, only points within that exact distance are considered
     and None is returned when there are none. Ties broken by lexicographically
     smallest coefficient vector.
+
+    The float search runs around the exact residual t - y of the
+    nearest-plane point y, whatever the size of t, and y's coefficients are
+    added back; shifting every candidate by them keeps the tie-break order.
     """
     t = as_fraction_vector(target, basis.ambient)
     if basis.rank == 0:
@@ -309,10 +313,10 @@ def closest_vector(basis, target, budget=None, radius=None):
             return None
         return zero, (), sqdist(zero, t)
     budget = config.enum_budget(budget)
-    rows_int, center_int, d, mu, bstar2, tau, perp_f, _ = _prepare(basis, t)
-    bvec, _bc = nearest_plane(basis, t)
-    babai_sq = sqdist(bvec, t) * d * d
-    start = float(babai_sq)
+    bvec, bcoeffs = nearest_plane(basis, t)
+    residual = tuple(a - b for a, b in zip(t, bvec))
+    rows_int, center_int, d, mu, bstar2, tau, perp_f, _ = _prepare(basis, residual)
+    start = float(sqnorm(residual) * d * d)
     hard_thr = None
     if radius is not None:
         r = radius if isinstance(radius, Fraction) else Fraction(float(radius))
@@ -331,8 +335,8 @@ def closest_vector(basis, target, budget=None, radius=None):
     got = _best_candidate(cands, rows_int, center_int, d, hard_thr=hard_thr)
     if got is None:
         return None
-    coeffs, sq = got
-    return basis.vector(coeffs), coeffs, sq
+    coeffs = tuple(c + b for c, b in zip(got[0], bcoeffs))
+    return basis.vector(coeffs), coeffs, got[1]
 
 
 def lambda1(basis, budget=None):

@@ -335,7 +335,7 @@ def _check_ascent_trace():
     for _ in range(100):
         u = rng.normal(size=n)
         t = 0.9 * dec.radius_ * rng.random() * u / math.sqrt(float(u @ u))
-        res = dec.decode(t)
+        res = dec.decode(t, trace=True)
         if res.status != EXACT or len(res.trace) < 3:
             continue
         norms = [p[0] for p in res.trace]
@@ -359,7 +359,7 @@ def _check_rounding_safety():
     for _ in range(30):
         u = rng.normal(size=n)
         t = 0.9 * thr / float(dec.scale_) * rng.random() * u / math.sqrt(float(u @ u))
-        res = dec.decode(t)
+        res = dec.decode(t, trace=True)
         if res.trace and res.trace[-1][0] < thr:
             hits += 1
             ok &= all(x == 0 for x in res.vector)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latgauss.advice import GaussianAdvice, advice_count, default_denom_floor, generate_advice
+from latgauss.advice import (
+    _TILE_COLS,
+    _TILE_ROWS,
+    GaussianAdvice,
+    advice_count,
+    default_denom_floor,
+    generate_advice,
+)
 from latgauss.decoder import BddDecoder
 from latgauss.gaussian import PeriodicGaussian, smoothing_parameter
 from latgauss.generators import (
@@ -196,23 +203,45 @@ def max_norm(adv):
     return float(np.linalg.norm(adv.vectors, axis=1).max())
 
 
+def assert_kernel_tracks_reference(adv, ts):
+    """f_batch and step_batch over all rows of ts at once, each row against
+    the float64 f and grad within kernel_err."""
+    fb = adv.f_batch(ts)
+    stepped, vals = adv.step_batch(ts, floor=0.0)
+    for k, t in enumerate(ts):
+        err = adv.kernel_err(t)[0]
+        f, g = adv.f(t), adv.grad(t)
+        assert abs(fb[k] - f) <= err
+        assert abs(vals[k] - f) <= err
+        if abs(f) > 2 * err:
+            # t + grad/(2 pi f) with the gradient within 2 pi max||w|| err and
+            # f within err, plus the float64 rounding of the sum
+            step = g / (2 * math.pi * f)
+            g_err = 2 * math.pi * max_norm(adv) * err
+            bound = (g_err + np.abs(g) * err / (abs(f) - err)) / (2 * math.pi * abs(f))
+            bound += 2 * U * (np.abs(t) + np.abs(step))
+            assert np.all(np.abs(stepped[k] - (t + step)) <= bound)
+
+
 @given(st.lists(COORD, min_size=3, max_size=3))
 def test_batched_kernel_tracks_the_float64_reference(coords):
-    adv = GENERIC
-    t = np.array(coords)
-    err = adv.kernel_err(t)[0]
-    f, g = adv.f(t), adv.grad(t)
-    assert abs(adv.f_batch(t[None])[0] - f) <= err
-    stepped, vals = adv.step_batch(t, floor=0.0)
-    assert abs(vals[0] - f) <= err
-    if abs(f) > 2 * err:
-        # t + grad/(2 pi f) with the gradient within 2 pi max||w|| err and
-        # f within err, plus the float64 rounding of the sum
-        step = g / (2 * math.pi * f)
-        g_err = 2 * math.pi * max_norm(adv) * err
-        bound = (g_err + np.abs(g) * err / (abs(f) - err)) / (2 * math.pi * abs(f))
-        bound += 2 * U * (np.abs(t) + np.abs(step))
-        assert np.all(np.abs(stepped[0] - (t + step)) <= bound)
+    assert_kernel_tracks_reference(GENERIC, np.array([coords]))
+
+
+# draw counts below one kernel tile, one draw past it, and over two tiles
+# with a partial third
+TILED = {count: generate_advice(random_dual_orthogonal(3, seed=12), 1e-3, count, seed=12)
+         for count in (500, _TILE_COLS + 1, 2 * _TILE_COLS + 123)}
+
+
+@pytest.mark.parametrize("count", sorted(TILED))
+@pytest.mark.parametrize("n_rows", [1, _TILE_ROWS, _TILE_ROWS + 3, 3 * _TILE_ROWS + 1])
+def test_tiled_kernel_matches_the_reference_at_every_tile_edge(count, n_rows):
+    rng = np.random.default_rng(count + n_rows)
+    ts = 0.3 * rng.normal(size=(n_rows, 3))
+    # every third row far out, with coordinates up to 1e6
+    ts[::3] = rng.uniform(-1e6, 1e6, size=ts[::3].shape)
+    assert_kernel_tracks_reference(TILED[count], ts)
 
 
 @given(st.lists(COORD, min_size=3, max_size=3),

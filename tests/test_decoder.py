@@ -26,6 +26,7 @@ from latgauss.generators import (
     random_integer,
 )
 from latgauss.lattice import lattice_coefficients, write_basis
+from latgauss.reductions import SparsifyReducer
 from latgauss.rng import stream
 
 
@@ -101,9 +102,9 @@ def test_decode_recovers_planted_points_exactly():
 def test_decode_batch_matches_single_decodes():
     basis, dec = fitted(n=2, seed=3, n_advice=800)
     ts = np.array([[0.1, 0.2], [1.4, -0.7], [0.0, 0.0]])
-    batch = dec.decode_batch(ts)
+    batch = dec.decode_batch(ts, trace=True)
     for row, res in zip(ts, batch):
-        single = dec.decode(row)
+        single = dec.decode(row, trace=True)
         assert single.vector == res.vector
         assert single.status == res.status
         assert len(single.trace) == len(res.trace)
@@ -113,9 +114,24 @@ def test_decode_batch_matches_single_decodes():
     assert batch[2].vector == (0, 0)
 
 
+def test_trace_is_opt_in_and_changes_nothing_else():
+    basis, dec = fitted(n=3, seed=6, n_advice=3000)
+    rng = stream(61)
+    ts = np.vstack([0.5 * dec.radius_ * rng.normal(size=(6, 3)),
+                    rng.uniform(-3, 3, size=(6, 3)) @ basis.float_rows])
+    plain, traced = dec.decode_batch(ts), dec.decode_batch(ts, trace=True)
+    assert {r.status for r in plain} == {EXACT, GUARD}
+    for a, b in zip(plain, traced):
+        assert a.trace == ()
+        assert b.trace
+        assert (a.vector, a.coeffs, a.status, a.iterations_run, a.note) == (
+            b.vector, b.coeffs, b.status, b.iterations_run, b.note)
+    assert dec.decode(ts[0]) == plain[0]
+
+
 def test_decode_trace_and_iteration_budget():
     basis, dec = fitted(n=2, seed=4, n_advice=800)
-    res = dec.decode([0.05, -0.03])
+    res = dec.decode([0.05, -0.03], trace=True)
     assert res.iterations_run == dec.iterations_
     assert len(res.trace) == dec.iterations_ + 1
     for norm, val in res.trace:
@@ -152,6 +168,16 @@ def test_fit_validates_parameters():
         BddDecoder(0.02).fit(basis)
     with pytest.raises(ValueError):
         BddDecoder(1e-3, n_advice=0).fit(basis)
+
+
+def test_fractional_counts_are_rejected():
+    basis = integer_identity(2)
+    with pytest.raises(ValueError, match="n_advice"):
+        BddDecoder(1e-3, n_advice=40.9).fit(basis)
+    with pytest.raises(ValueError, match="trials"):
+        SparsifyReducer(trials=2.5, mode="oracle").fit(basis)
+    assert len(BddDecoder(1e-3, n_advice=40.0).fit(basis).advice_) == 40
+    assert SparsifyReducer(trials=2.0, mode="oracle").fit(basis).reduce((0.25, 0)).trials == 2
 
 
 def test_save_load_roundtrip_preserves_decoding(tmp_path):
@@ -309,6 +335,7 @@ def test_load_rejects_every_truncation(tmp_path):
     (1, "x"),          # basis header
     (2, "1/0"),        # basis entry
     (4, "-4"),         # advice count
+    (4, "40.0"),       # advice count
     (5, "1.5"),        # advice coefficient
     (-3, "-1"),        # frame index
     (-3, "99"),        # frame index past the advice
@@ -349,7 +376,7 @@ def test_huge_targets_trip_the_guard():
     _, dec = fitted(n=2, seed=18, n_advice=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = dec.decode([1e300, -1e300])
+        res = dec.decode([1e300, -1e300], trace=True)
     assert res.status == GUARD
     assert res.iterations_run == 0
     assert res.trace and all(math.isfinite(norm) for norm, _ in res.trace)

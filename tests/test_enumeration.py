@@ -1,6 +1,7 @@
 """Exact enumeration: balls, closest/shortest vectors, HKZ, unimodular completion."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,22 @@ def test_closest_beats_babai(seed, shift):
     target = (shift, Fraction(1, 3) + shift)
     _, _, sq = closest_vector(basis, target)
     assert sq <= sqdist(nearest_plane(basis, target)[0], target)
+
+
+@pytest.mark.parametrize("scale", [10**10, 10**14])
+def test_closest_vector_keeps_its_answer_at_large_coordinates(scale):
+    # lattice points far from the origin plus offsets of denominator 16: the
+    # answer is the one for the offset alone, moved by the lattice point
+    basis = random_integer(4, seed=0)
+    rng = random.Random(scale)
+    for _ in range(40):
+        coeffs = [rng.randint(-scale, scale) for _ in range(4)]
+        point = basis.vector(coeffs)
+        offset = frac_vector([rng.randint(-64, 64) for _ in range(4)], 16)
+        got = closest_vector(basis, [p + o for p, o in zip(point, offset)])
+        assert got is not None
+        vec, got_coeffs, sq = got
+        near_vec, near_coeffs, near_sq = closest_vector(basis, offset)
+        assert sq == near_sq
+        assert got_coeffs == tuple(c + d for c, d in zip(coeffs, near_coeffs))
+        assert vec == tuple(p + v for p, v in zip(point, near_vec))
