@@ -91,10 +91,9 @@ class GaussianAdvice:
     def _reference(self, t):
         """Row-major draws and their float64 phases 2 pi <w_i, t>.
 
-        The reference works on a row-major copy of vectors: BLAS sums each
-        product in an order set by the layout, and this one keeps f, grad
-        and hessian equal bit for bit to their values before the kernel
-        went column-major.
+        BLAS sums each product in an order set by the layout, so the
+        reference runs on a row-major copy of vectors: that order is the
+        one the estimator-error experiment's CSV digest pins.
         """
         w = np.ascontiguousarray(self.vectors)
         return w, 2.0 * _PI * (w @ as_float_vector(t, self.basis.ambient))
