@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
+from ._validation import parse_fraction
 from .decoder import BddDecoder, FrameAbort
 from .experiments import parse_config, run_experiment
 from .generators import generate_lattice
@@ -30,8 +30,8 @@ from .verify import verify_suite
 def _parse_target(text, ambient):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != ambient:
-        raise SystemExit(f"target needs {ambient} coordinates, got {len(parts)}")
-    return tuple(Fraction(p) for p in parts)
+        raise ValueError(f"target needs {ambient} coordinates, got {len(parts)}")
+    return tuple(parse_fraction(p) for p in parts)
 
 
 def _cmd_gen_lattice(args):

@@ -9,10 +9,6 @@ import os
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 
-# doubling retries allowed when a certified tolerance is not met at the
-# initial truncation radius
-MAX_RADIUS_DOUBLINGS = 6
-
 # probability mass the discrete Gaussian sample table must cover
 SAMPLER_MASS_FLOOR = 1.0 - 2.0 ** -40
 

@@ -1,30 +1,37 @@
 """Lattice point enumeration and the exact solvers built on it.
 
-The search walks coefficient space depth-first in Schnorr-Euchner zigzag
-order using float64 Gram-Schmidt data, with a small relative slack on the
-pruning bound so rounding can only over-include. Every emitted candidate is
-then accepted or rejected by an exact integer comparison after denominators
-are cleared, so the returned point sets, shortest vectors, and closest
-vectors are exact. A node budget guards against runaway trees.
+One private core, _points_within, answers the ball, the shortest vector, the
+closest vector and the sparsify ball count. It moves a nonzero centre t to its
+exact nearest-plane residual t - y, so float work only sees a small centre
+whatever the size of t. The search walks coefficient space depth-first in
+Schnorr-Euchner zigzag order using float64 Gram-Schmidt data, with a small
+relative slack on the pruning bound so rounding can only over-include; the
+bound stays fixed for a ball and shrinks to each candidate for a nearest-point
+query. Every candidate is scored as an exact integer after denominators are
+cleared and cut at the exact squared radius, then y's coefficients are added
+back, which keeps the lexicographic order. The returned point sets, shortest
+vectors and closest vectors are therefore exact. A node budget guards against
+runaway trees.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import config
-from ._validation import as_fraction_vector
+from ._validation import as_fraction, as_fraction_vector
 from .lattice import (
     LatticeBasis,
-    _gram_schmidt,
+    _dot,
+    _sub_scaled,
     invert_matrix,
     nearest_plane,
     project_lattice,
-    sqdist,
     sqnorm,
 )
 
@@ -32,8 +39,6 @@ from .lattice import (
 # ~1e-10 relative, so this only admits extra candidates for the exact filter
 SLACK = 1e-6
 ABS_SLACK = 1e-9
-
-_CHUNK = 1 << 14
 
 
 class BudgetExceeded(RuntimeError):
@@ -130,7 +135,6 @@ def _search(mu, bstar2, tau, const, bound, budget, emit):
 
 
 def _prepare(basis, center):
-    center = as_fraction_vector(center, basis.ambient)
     rows_int, center_int, d = _integerize(basis, center)
     gs = basis.gram_schmidt
     n = basis.rank
@@ -145,11 +149,14 @@ def _prepare(basis, center):
         tau.append(float(t))
         perp = tuple(a - t * b for a, b in zip(perp, w))
     sq_perp = sum((a * a for a in perp), Fraction(0))
-    return rows_int, center_int, d, mu, bstar2, tau, float(sq_perp * d2), sq_perp
+    return rows_int, center_int, d, mu, bstar2, tau, float(sq_perp * d2)
 
 
 def _exact_sqdists(coeffs, rows_int, center_int):
-    """Exact scaled squared distances for an (K, n) int coefficient array."""
+    """Exact scaled squared distances for a (K, n) int coefficient array.
+
+    int64 when no intermediate can overflow, Python integers (object) otherwise.
+    """
     k, n = coeffs.shape
     m = len(center_int)
     max_b = max((abs(v) for row in rows_int for v in row), default=0)
@@ -160,7 +167,7 @@ def _exact_sqdists(coeffs, rows_int, center_int):
         b_arr = np.array(rows_int, dtype=np.int64).reshape(n, m)
         pts = coeffs @ b_arr if n else np.zeros((k, m), dtype=np.int64)
         diff = pts - np.array(center_int, dtype=np.int64)
-        return np.einsum("ij,ij->i", diff, diff), None
+        return np.einsum("ij,ij->i", diff, diff)
     # big-integer fallback
     out = []
     cols = list(zip(*rows_int)) if n else [()] * m
@@ -170,7 +177,7 @@ def _exact_sqdists(coeffs, rows_int, center_int):
             v = sum(c * b for c, b in zip(row, cols[j])) - center_int[j]
             acc += v * v
         out.append(acc)
-    return None, out
+    return np.array(out, dtype=object)
 
 
 @dataclass
@@ -202,70 +209,76 @@ class BallPoints:
         return Fraction(int(self.scaled_sqdist[i]), self.scale_sq)
 
 
+def _points_within(basis, center, sq_radius, budget=None, nearest=False, nonzero=False):
+    """The one exact search behind the ball, the shortest and the closest vector.
+
+    Returns the lattice points y with ||y - center||^2 <= sq_radius (exact) as
+    BallPoints. With nearest, the float bound shrinks to each candidate found,
+    so the output still holds every point at the least distance but not the
+    whole ball; sq_radius None then stands for the distance of the
+    nearest-plane point. nonzero drops the origin.
+    """
+    budget = config.enum_budget(budget)
+    center = as_fraction_vector(center, basis.ambient)
+    n = basis.rank
+    shift, residual = (0,) * n, center
+    if any(center):
+        near, shift = nearest_plane(basis, center)
+        residual = tuple(a - b for a, b in zip(center, near))
+    if sq_radius is None:
+        sq_radius = sqnorm(residual)
+    rows_int, center_int, d, mu, bstar2, tau, perp_f = _prepare(basis, residual)
+    r2 = sq_radius * d * d
+    bound = [float(r2) * (1.0 + SLACK) + ABS_SLACK]
+    found = array("q")
+
+    def emit(x, p):
+        if nonzero and not any(x):
+            return
+        found.extend(x)
+        if nearest and p < bound[0]:
+            bound[0] = p * (1.0 + SLACK) + ABS_SLACK
+
+    nodes = _search(mu, bstar2, tau, perp_f, bound, budget, emit)
+    # a flat int64 buffer holds big balls at 8 bytes a coefficient; a rank-0
+    # search emits the origin once
+    rows = len(found) // n if n else 1
+    coeffs = np.frombuffer(found, dtype=np.int64).reshape(rows, n)
+    sq = _exact_sqdists(coeffs, rows_int, center_int)
+    keep = sq <= r2.numerator // r2.denominator
+    coeffs, sq = coeffs[keep], sq[keep]
+    if len(coeffs) and n:
+        order = np.lexsort(coeffs.T[::-1])
+        coeffs, sq = coeffs[order], sq[order]
+    if any(shift):
+        # translation keeps the lexicographic order; object past int64
+        big = max(abs(c) for c in shift) >= 2 ** 62
+        coeffs = coeffs + np.array(shift, dtype=object if big else np.int64)
+    return BallPoints(basis, center, coeffs, sq, d * d, nodes)
+
+
+def _radius_sq(radius):
+    r = as_fraction(radius)
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    return r * r
+
+
 def enumerate_ball(basis, center, radius, budget=None):
     """Exactly the lattice points y with ||y - center|| <= radius.
 
     radius may be a float or Fraction; the boundary is included exactly.
     Output coefficients are sorted lexicographically.
     """
-    budget = config.enum_budget(budget)
-    r = radius if isinstance(radius, Fraction) else Fraction(float(radius))
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    center = as_fraction_vector(center, basis.ambient)
-    rows_int, center_int, d, mu, bstar2, tau, perp_f, sq_perp = _prepare(basis, center)
-    n = basis.rank
-    r2 = r * r * d * d
-    thr = r2.numerator // r2.denominator
-
-    chunks = []
-    buf = np.empty((_CHUNK, n), dtype=np.int64)
-    fill = [0]
-
-    def emit(x, _p):
-        k = fill[0]
-        buf[k, :] = x
-        fill[0] = k + 1
-        if fill[0] == _CHUNK:
-            chunks.append(buf.copy())
-            fill[0] = 0
-
-    bound = [float(r2) * (1.0 + SLACK) + ABS_SLACK]
-    nodes = _search(mu, bstar2, tau, perp_f, bound, budget, emit)
-    chunks.append(buf[: fill[0]].copy())
-    coeffs = np.concatenate(chunks, axis=0)
-
-    sq64, sqbig = _exact_sqdists(coeffs, rows_int, center_int)
-    if sq64 is not None:
-        keep = sq64 <= thr
-        coeffs, sq = coeffs[keep], sq64[keep]
-    else:
-        keep = [i for i, s in enumerate(sqbig) if s <= thr]
-        coeffs = coeffs[keep]
-        sq = np.array([sqbig[i] for i in keep], dtype=object)
-    if len(coeffs) and n:
-        order = np.lexsort(coeffs.T[::-1])
-        coeffs, sq = coeffs[order], sq[order]
-    return BallPoints(basis, center, coeffs, sq, d * d, nodes)
+    return _points_within(basis, center, _radius_sq(radius), budget)
 
 
-def _best_candidate(cands, rows_int, center_int, d, hard_thr=None):
-    """Exact argmin over float-screened candidates; lexicographic tie-break."""
-    best = None
-    for x in cands:
-        acc = 0
-        for j in range(len(center_int)):
-            v = sum(c * b for c, b in zip(x, (row[j] for row in rows_int))) - center_int[j]
-            acc += v * v
-        if hard_thr is not None and acc > hard_thr:
-            continue
-        key = (acc, x)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    sq, x = best
-    return tuple(x), Fraction(sq, d * d)
+def _nearest(ball):
+    """(vector, coeffs, sqdist) of the closest ball point, least coeffs on ties."""
+    sq = ball.scaled_sqdist.tolist()
+    i = sq.index(min(sq))
+    coeffs = tuple(ball.coeffs[i].tolist())
+    return ball.basis.vector(coeffs), coeffs, ball.exact_sqdist(i)
 
 
 def shortest_vector(basis, budget=None):
@@ -275,24 +288,9 @@ def shortest_vector(basis, budget=None):
     """
     if basis.rank == 0:
         raise ValueError("the zero lattice has no nonzero vector")
-    budget = config.enum_budget(budget)
-    zero = (Fraction(0),) * basis.ambient
-    rows_int, center_int, d, mu, bstar2, tau, perp_f, _ = _prepare(basis, zero)
-    start = min(sum(v * v for v in row) for row in rows_int)
-    bound = [float(start) * (1.0 + SLACK) + ABS_SLACK]
-    cands = []
-
-    def emit(x, p):
-        # only nonzero points count; the origin never tightens the bound
-        if not any(x):
-            return
-        cands.append(list(x))
-        if p < bound[0]:
-            bound[0] = p * (1.0 + SLACK) + ABS_SLACK
-
-    _search(mu, bstar2, tau, perp_f, bound, budget, emit)
-    coeffs, sq = _best_candidate(cands, rows_int, center_int, d)
-    return basis.vector(coeffs), coeffs, sq
+    start = min(sqnorm(row) for row in basis.rows)
+    return _nearest(_points_within(basis, (0,) * basis.ambient, start, budget,
+                                   nearest=True, nonzero=True))
 
 
 def closest_vector(basis, target, budget=None, radius=None):
@@ -301,42 +299,10 @@ def closest_vector(basis, target, budget=None, radius=None):
     With radius given, only points within that exact distance are considered
     and None is returned when there are none. Ties broken by lexicographically
     smallest coefficient vector.
-
-    The float search runs around the exact residual t - y of the
-    nearest-plane point y, whatever the size of t, and y's coefficients are
-    added back; shifting every candidate by them keeps the tie-break order.
     """
-    t = as_fraction_vector(target, basis.ambient)
-    if basis.rank == 0:
-        zero = (Fraction(0),) * basis.ambient
-        if radius is not None and sqdist(zero, t) > Fraction(radius) ** 2:
-            return None
-        return zero, (), sqdist(zero, t)
-    budget = config.enum_budget(budget)
-    bvec, bcoeffs = nearest_plane(basis, t)
-    residual = tuple(a - b for a, b in zip(t, bvec))
-    rows_int, center_int, d, mu, bstar2, tau, perp_f, _ = _prepare(basis, residual)
-    start = float(sqnorm(residual) * d * d)
-    hard_thr = None
-    if radius is not None:
-        r = radius if isinstance(radius, Fraction) else Fraction(float(radius))
-        r2 = r * r * d * d
-        hard_thr = r2.numerator // r2.denominator
-        start = min(start, float(r2))
-    bound = [start * (1.0 + SLACK) + ABS_SLACK]
-    cands = []
-
-    def emit(x, p):
-        cands.append(list(x))
-        if p < bound[0]:
-            bound[0] = p * (1.0 + SLACK) + ABS_SLACK
-
-    _search(mu, bstar2, tau, perp_f, bound, budget, emit)
-    got = _best_candidate(cands, rows_int, center_int, d, hard_thr=hard_thr)
-    if got is None:
-        return None
-    coeffs = tuple(c + b for c, b in zip(got[0], bcoeffs))
-    return basis.vector(coeffs), coeffs, got[1]
+    sq_radius = None if radius is None else _radius_sq(radius)
+    ball = _points_within(basis, target, sq_radius, budget, nearest=True)
+    return _nearest(ball) if len(ball) else None
 
 
 def lambda1(basis, budget=None):
@@ -385,16 +351,19 @@ def complete_to_unimodular(a):
     return [[int(x) for x in row] for row in inv]
 
 
-def _size_reduce(rows):
-    """Make |mu_ij| <= 1/2 by integer row operations (exact)."""
-    rows = [list(r) for r in rows]
+def _size_reduce(basis):
+    """Make |mu_ij| <= 1/2 by integer row operations (exact).
+
+    Row operations leave every b*_j unchanged, so mu_ij is read from the
+    current row i and the Gram-Schmidt data of the input, computed once.
+    """
+    gs = basis.gram_schmidt
+    rows = list(basis.rows)
     for i in range(1, len(rows)):
-        gs = _gram_schmidt(tuple(tuple(r) for r in rows[: i + 1]))
         for j in range(i - 1, -1, -1):
-            c = round(gs.mu[i][j])
+            c = round(_dot(rows[i], gs.orthogonal[j]) / gs.sqnorms[j])
             if c:
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[j])]
-                gs = _gram_schmidt(tuple(tuple(r) for r in rows[: i + 1]))
+                rows[i] = _sub_scaled(rows[i], rows[j], c)
     return rows
 
 
@@ -429,7 +398,7 @@ def hkz_reduce(basis, svp=None, budget=None):
                         vec[j] += c * x
             new_tail.append(tuple(vec))
         rows[k:] = new_tail
-    rows = _size_reduce(rows)
+    rows = _size_reduce(LatticeBasis(rows, ambient=basis.ambient))
     return LatticeBasis(rows, ambient=basis.ambient)
 
 

@@ -121,6 +121,9 @@ class Assertion:
     ok: bool
     detail: str
 
+    def line(self):
+        return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
+
 
 @dataclass
 class ExperimentReport:
@@ -145,11 +148,7 @@ class ExperimentReport:
         return "\n".join(out) + "\n"
 
     def summary(self):
-        lines = []
-        for a in self.assertions:
-            verdict = "PASS" if a.ok else "FAIL"
-            lines.append(f"{verdict} {a.name}: {a.detail}")
-        return "\n".join(lines)
+        return "\n".join(a.line() for a in self.assertions)
 
 
 def _format_cell(v):

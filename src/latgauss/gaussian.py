@@ -39,13 +39,21 @@ def _radius_for(n, s, q):
     return t * s * math.sqrt(n / (2.0 * _PI))
 
 
-def _ball_weights(ball, s):
-    """exp(-pi sq / s^2) for every ball point, in extended precision."""
+def _scaled_sqdists(ball):
+    """The ball's scaled squared distances in extended precision.
+
+    The big-integer (object) fallback of enumerate_ball goes through float64.
+    """
     sq = ball.scaled_sqdist
     if sq.dtype == object:
         sq = np.array([float(v) for v in sq], dtype=np.float64)
+    return sq.astype(_LD)
+
+
+def _ball_weights(ball, s):
+    """exp(-pi sq / s^2) for every ball point, in extended precision."""
     scale = _LD(_PI) / (_LD(s) * _LD(s) * _LD(ball.scale_sq))
-    return np.exp(-scale * sq.astype(_LD))
+    return np.exp(-scale * _scaled_sqdists(ball))
 
 
 @dataclass(frozen=True)
@@ -233,10 +241,7 @@ def smoothing_parameter(basis, eps, rel_tol=1e-10, budget=None):
     q = min(eps * 1e-12, 2.0 ** -30)
     radius = _radius_for(n, 1.0 / lo, q)
     ball = enumerate_ball(dual, (0,) * basis.ambient, radius, budget=budget)
-    sq = ball.scaled_sqdist
-    if sq.dtype == object:
-        sq = np.array([float(v) for v in sq], dtype=np.float64)
-    sq = sq.astype(_LD)
+    sq = _scaled_sqdists(ball)
     nonzero = sq > 0
     sq = sq[nonzero]
     scale_sq = _LD(ball.scale_sq)

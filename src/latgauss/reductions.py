@@ -29,17 +29,15 @@ to the target distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._estimator import ParamMixin
 from ._validation import as_fraction, as_fraction_vector, check_count, check_positive
 from .decoder import EXACT, BddDecoder, bdd_param_plan
 from .enumeration import (
     BudgetExceeded,
+    _points_within,
     closest_vector,
-    enumerate_ball,
     hkz_reduce,
     shortest_via_promise_cvp,
 )
@@ -381,19 +379,8 @@ def sparse_coset_sample(basis, p, seed):
 
 
 def _ball_count(basis, sq_radius, budget=None):
-    """Exact count of lattice points with squared norm <= sq_radius.
-
-    Enumerates at a slightly inflated float radius and cuts with the exact
-    rational comparison, so boundary points are neither lost nor double
-    counted. The origin is included.
-    """
-    if sq_radius < 0:
-        return 0
-    r = math.sqrt(float(sq_radius)) * (1.0 + 1e-9) + 1e-12
-    pts = enumerate_ball(basis, (0,) * basis.ambient, Fraction(r), budget=budget)
-    thr = sq_radius.numerator * pts.scale_sq
-    den = sq_radius.denominator
-    return sum(1 for s in pts.scaled_sqdist.tolist() if int(s) * den <= thr)
+    """Exact count of lattice points with squared norm <= sq_radius, origin included."""
+    return len(_points_within(basis, (0,) * basis.ambient, sq_radius, budget))
 
 
 # the paper-mode prime sweep tries at most this many powers of two

@@ -17,7 +17,7 @@ import numpy as np
 from .advice import generate_advice
 from .decoder import EXACT, BddDecoder, FrameAbort
 from .enumeration import closest_vector, enumerate_ball, hkz_reduce, shortest_vector
-from .experiments import run_experiment
+from .experiments import Assertion, run_experiment
 from .gaussian import (
     PeriodicGaussian,
     decoding_width,
@@ -48,19 +48,6 @@ from .rng import stream
 _PI = math.pi
 
 
-class Verdict:
-    def __init__(self, name, ok, detail):
-        self.name = name
-        self.ok = bool(ok)
-        self.detail = detail
-
-    def __repr__(self):
-        return f"Verdict({self.name!r}, ok={self.ok})"
-
-    def line(self):
-        return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
-
-
 def _rational_targets(basis, count, seed, den=64):
     rng = stream(seed, 9)
     raw = rng.integers(-3 * den, 3 * den + 1, size=(count, basis.rank))
@@ -86,8 +73,8 @@ def _check_gram_schmidt():
     for i in range(4):
         for j in range(i):
             ok &= sum(a * b for a, b in zip(gs.orthogonal[i], gs.orthogonal[j])) == 0
-    return Verdict("gram-schmidt-reconstruction", ok,
-                   "exact reconstruction and pairwise orthogonality on rank 4")
+    return Assertion("gram-schmidt-reconstruction", ok,
+                     "exact reconstruction and pairwise orthogonality on rank 4")
 
 
 def _check_dual():
@@ -99,8 +86,8 @@ def _check_dual():
         for j, b2 in enumerate(basis.rows)
     )
     ok &= dual.dual.rows == basis.rows
-    return Verdict("dual-biorthogonality", ok,
-                   "dual inner products are exactly the identity; double dual returns")
+    return Assertion("dual-biorthogonality", ok,
+                     "dual inner products are exactly the identity; double dual returns")
 
 
 def _check_babai_bound():
@@ -110,8 +97,8 @@ def _check_babai_bound():
     for t in _rational_targets(basis, 25, seed=13):
         vec, _ = nearest_plane(basis, t)
         ok &= sqdist(vec, t) <= gs_bound
-    return Verdict("babai-distance-bound", ok,
-                   "nearest-plane distance^2 stayed below sum ||b*||^2 / 4")
+    return Assertion("babai-distance-bound", ok,
+                     "nearest-plane distance^2 stayed below sum ||b*||^2 / 4")
 
 
 def _check_enumeration():
@@ -124,8 +111,8 @@ def _check_enumeration():
         bvec, _ = nearest_plane(basis, t)
         cvec, _, csq = closest_vector(basis, t)
         ok &= csq <= sqdist(bvec, t)
-    return Verdict("enumeration-oracle", ok,
-                   "shortest vector matches the ball minimum; CVP beats nearest-plane")
+    return Assertion("enumeration-oracle", ok,
+                     "shortest vector matches the ball minimum; CVP beats nearest-plane")
 
 
 def _check_hkz():
@@ -142,8 +129,8 @@ def _check_hkz():
         ok &= sqnorm(shortest_vector(proj)[0]) == gs.sqnorms[i]
         for j in range(i):
             ok &= abs(gs.mu[i][j]) <= Fraction(1, 2)
-    return Verdict("hkz-conditions", ok,
-                   "same lattice, projected-shortest rows, size-reduced")
+    return Assertion("hkz-conditions", ok,
+                     "same lattice, projected-shortest rows, size-reduced")
 
 
 def _check_poisson():
@@ -159,8 +146,8 @@ def _check_poisson():
             bound = pg.f_err + 0.5 * (hi - lo) + 1e-8
             worst = max(worst, gap - bound)
             ok &= gap <= bound
-    return Verdict("poisson-consistency", ok,
-                   f"dual-side and primal-side evaluations agree (margin {worst:.2e})")
+    return Assertion("poisson-consistency", ok,
+                     f"dual-side and primal-side evaluations agree (margin {worst:.2e})")
 
 
 def _check_envelope():
@@ -179,16 +166,16 @@ def _check_envelope():
         v = pg.f(t)
         lo, hi = density_envelope(d, eps)
         ok &= lo - 2e-9 - pg.f_err <= v <= hi + pg.f_err
-    return Verdict("density-envelope", ok,
-                   "f stayed between exp(-pi d^2) and the closed-form upper bound")
+    return Assertion("density-envelope", ok,
+                     "f stayed between exp(-pi d^2) and the closed-form upper bound")
 
 
 def _check_contraction():
     rep = run_experiment(
         "experiment = contraction\nlattice = integer-identity:3\neps = 0.001\ntrials = 60\n"
     )
-    return Verdict("step-contraction", rep.ok,
-                   rep.assertions[0].detail)
+    return Assertion("step-contraction", rep.ok,
+                     rep.assertions[0].detail)
 
 
 def _check_hessian_zero():
@@ -200,8 +187,8 @@ def _check_hessian_zero():
     gap = float(np.abs(np.linalg.eigvalsh(h + 2.0 * _PI * np.eye(3))).max())
     bound = 4.0 * _PI * eps / (1.0 + eps) * (math.log(2.0 * (1.0 + eps) / eps) + 1.0)
     ok = gap <= bound + pg.hess_err
-    return Verdict("hessian-at-zero", ok,
-                   f"||Hf(0) + 2 pi I|| = {gap:.3e} within {bound:.3e} + certified")
+    return Assertion("hessian-at-zero", ok,
+                     f"||Hf(0) + 2 pi I|| = {gap:.3e} within {bound:.3e} + certified")
 
 
 def _check_finite_differences():
@@ -220,8 +207,8 @@ def _check_finite_differences():
         ok &= abs(diff - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
         gdiff = (pg.grad(t + e) - pg.grad(t - e)) / (2.0 * h)
         ok &= float(np.abs(gdiff - hess[i]).max()) <= 1e-5 * max(1.0, float(np.abs(hess[i]).max()))
-    return Verdict("derivative-consistency", ok,
-                   "gradient and Hessian match central differences of f")
+    return Assertion("derivative-consistency", ok,
+                     "gradient and Hessian match central differences of f")
 
 
 def _check_sampler_moments():
@@ -231,8 +218,8 @@ def _check_sampler_moments():
     mean = draws.vectors_float().mean(axis=0)
     bound = 4.0 * s * math.sqrt(4.0 / 2000.0)
     norm = math.sqrt(float(mean @ mean))
-    return Verdict("sampler-mean-zero", norm <= bound,
-                   f"empirical mean norm {norm:.4f} within {bound:.4f}")
+    return Assertion("sampler-mean-zero", norm <= bound,
+                     f"empirical mean norm {norm:.4f} within {bound:.4f}")
 
 
 def _check_estimator_basics():
@@ -255,8 +242,8 @@ def _check_estimator_basics():
         e[i] = h
         diff = (adv.f(t + e) - adv.f(t - e)) / (2.0 * h)
         ok &= abs(diff - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
-    return Verdict("estimator-basics", ok,
-                   "f_W in range, 1 at lattice points, periodic, gradient-consistent")
+    return Assertion("estimator-basics", ok,
+                     "f_W in range, 1 at lattice points, periodic, gradient-consistent")
 
 
 def _check_step_arithmetic():
@@ -267,8 +254,8 @@ def _check_step_arithmetic():
             continue
         _, dmax = decoding_width(eps)
         ok &= eps ** ((1.0 - 2.0 * dmax) / 4.0) <= 0.5
-    return Verdict("step-halving-grid", ok,
-                   "eps^((1-2 delta_max)/4) <= 1/2 across the eps grid")
+    return Assertion("step-halving-grid", ok,
+                     "eps^((1-2 delta_max)/4) <= 1/2 across the eps grid")
 
 
 def _fit_small_decoder():
@@ -293,16 +280,16 @@ def _check_frame_identity(advice_path):
     if advice_path is None:
         dec = _fit_small_decoder()
         ok = _frame_identity_ok(dec)
-        return Verdict("decoder-frame-identity", ok,
-                       "basis rows reconstruct exactly through the stored frame")
+        return Assertion("decoder-frame-identity", ok,
+                         "basis rows reconstruct exactly through the stored frame")
     try:
         dec = BddDecoder.load(advice_path)
     except (FrameAbort, ValueError, OSError) as exc:
-        return Verdict("decoder-frame-identity", False,
-                       f"stored frame failed validation: {exc}")
+        return Assertion("decoder-frame-identity", False,
+                         f"stored frame failed validation: {exc}")
     ok = _frame_identity_ok(dec)
-    return Verdict("decoder-frame-identity", ok,
-                   f"frame in {advice_path} is biorthogonal and reconstructs the basis")
+    return Assertion("decoder-frame-identity", ok,
+                     f"frame in {advice_path} is biorthogonal and reconstructs the basis")
 
 
 def _check_decoder_equivariance():
@@ -321,8 +308,8 @@ def _check_decoder_equivariance():
         y = basis.vector([int(c) for c in rng.integers(-2, 3, size=3)])
         c = dec.decode(t + np.array([float(x) for x in y]))
         ok &= tuple(p + q for p, q in zip(a.vector, y)) == tuple(c.vector)
-    return Verdict("decoder-equivariance", ok,
-                   "decoding commutes with doubling and with lattice translations")
+    return Assertion("decoder-equivariance", ok,
+                     "decoding commutes with doubling and with lattice translations")
 
 
 def _check_ascent_trace():
@@ -345,8 +332,9 @@ def _check_ascent_trace():
     frac1 = first / total if total else 0.0
     frac2 = later / total if total else 0.0
     ok = total >= 90 and frac1 >= 0.99 and frac2 >= 0.99
-    return Verdict("ascent-trace-contraction", ok,
-                   f"first step halved ||t|| on {frac1:.2%}, later steps contracted on {frac2:.2%}")
+    return Assertion(
+        "ascent-trace-contraction", ok,
+        f"first step halved ||t|| on {frac1:.2%}, later steps contracted on {frac2:.2%}")
 
 
 def _check_rounding_safety():
@@ -364,8 +352,8 @@ def _check_rounding_safety():
             hits += 1
             ok &= all(x == 0 for x in res.vector)
     ok &= hits >= 25
-    return Verdict("final-rounding-safety", ok,
-                   f"{hits} traces ended below 1/(2 max||v*||) and all rounded to zero")
+    return Assertion("final-rounding-safety", ok,
+                     f"{hits} traces ended below 1/(2 max||v*||) and all rounded to zero")
 
 
 def _check_reduction_membership():
@@ -378,17 +366,17 @@ def _check_reduction_membership():
     sparsify = SparsifyReducer(tau=1.0, mode="oracle", trials=4, seed=42).fit(basis)
     res = sparsify.reduce(_rational_targets(basis, 1, seed=42)[0])
     ok &= lattice_coefficients(basis, res.vector) is not None
-    return Verdict("reduction-membership", ok,
-                   "every reduction output is an exact lattice member")
+    return Assertion("reduction-membership", ok,
+                     "every reduction output is an exact lattice member")
 
 
 def _check_reduction_factors():
     rep = run_experiment(
         "experiment = reduction-audit\nlattice = random-integer:3,bound=5\ntrials = 10\n"
     )
-    return Verdict("reduction-factors", rep.ok,
-                   "; ".join(a.detail for a in rep.assertions if not a.ok) or
-                   "projection, block, and no-preprocessing factors all held")
+    return Assertion("reduction-factors", rep.ok,
+                     "; ".join(a.detail for a in rep.assertions if not a.ok) or
+                     "projection, block, and no-preprocessing factors all held")
 
 
 def _check_master_decomposition():
@@ -409,8 +397,8 @@ def _check_master_decomposition():
             lhs = sqdist(cand, t)
             rhs = sqnorm(p) + sqdist(z, q)
             ok &= lhs == rhs
-    return Verdict("cut-orthogonal-decomposition", ok,
-                   "candidate error splits exactly across the projection cut")
+    return Assertion("cut-orthogonal-decomposition", ok,
+                     "candidate error splits exactly across the projection cut")
 
 
 def _check_coset():
@@ -424,8 +412,8 @@ def _check_coset():
     pt = coset.point()
     ok &= coset.contains(pt)
     ok &= lattice_coefficients(basis, pt) is not None
-    return Verdict("coset-index", ok,
-                   "sublattice has index p exactly and the representative lies in the coset")
+    return Assertion("coset-index", ok,
+                     "sublattice has index p exactly and the representative lies in the coset")
 
 
 def _check_coset_coverage():
@@ -451,16 +439,16 @@ def _check_coset_coverage():
     for e, cnt in eps_checks.items():
         frac = cnt / draws
         ok &= frac <= e + 3.0 * math.sqrt(e * (1.0 - e) / draws)
-    return Verdict("coset-coverage-bound", ok,
-                   "covered-coset counts respected the sparsification tail bound")
+    return Assertion("coset-coverage-bound", ok,
+                     "covered-coset counts respected the sparsification tail bound")
 
 
 def _check_experiment_determinism():
     cfg = "experiment = decode-success\nlattice = integer-identity:3\ntrials = 10\n"
     a = run_experiment(cfg).csv()
     b = run_experiment(cfg).csv()
-    return Verdict("experiment-determinism", a == b,
-                   "same config and seed produced byte-identical CSV")
+    return Assertion("experiment-determinism", a == b,
+                     "same config and seed produced byte-identical CSV")
 
 
 def verify_suite(advice_path=None):

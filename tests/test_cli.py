@@ -66,6 +66,20 @@ def test_decode_reports_a_truncated_decoder_file(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("target", ("1/0,1", "1,2,3"))
+def test_malformed_targets_exit_with_status_2(tmp_path, capsys, target):
+    # a zero denominator and a wrong coordinate count, for both verbs that parse targets
+    lat = tmp_path / "lat.txt"
+    adv = tmp_path / "dec.txt"
+    basis = random_dual_orthogonal(2, seed=4)
+    write_basis(lat, basis)
+    BddDecoder(1e-3, n_advice=500, seed=4).fit(basis).save(adv)
+    for verb in (("reduce", "kannan", "--lattice", str(lat)), ("decode", "--advice", str(adv))):
+        code, _, stderr = run(capsys, *verb, "--target", target)
+        assert code == 2
+        assert stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("scheme", ("kannan", "master", "promise"))
 def test_reduce_schemes_print_a_vector(tmp_path, capsys, scheme):
     lat = tmp_path / "lat.txt"

@@ -193,20 +193,48 @@ def test_closest_beats_babai(seed, shift):
     assert sq <= sqdist(nearest_plane(basis, target)[0], target)
 
 
-@pytest.mark.parametrize("scale", [10**10, 10**14])
+def test_exact_search_scores_in_big_integers():
+    # entries near 3e9 overflow int64 squared distances, so scoring takes the
+    # object-dtype branch; b1/2 ties the origin with b1
+    big = 3 * 10**9
+    basis = LatticeBasis([(big + 1, -5, 2), (7, big - 3, 11), (-4, 1, big + 7)])
+    for k in [(1, -1, 2), (Fraction(1, 2), 0, 0), (Fraction(2, 3), Fraction(1, 3), -1)]:
+        target = tuple(sum(Fraction(c) * row[j] for c, row in zip(k, basis.rows)) + j - 1
+                       for j in range(3))
+        best, argmin = box_cvp(basis, target, 3)
+        vec, coeffs, sq = closest_vector(basis, target)
+        assert sq == best and coeffs == min(argmin)
+        ball = enumerate_ball(basis, target, big)
+        assert ball.scaled_sqdist.dtype == object
+        expect = {c for c in itertools.product(range(-3, 4), repeat=3)
+                  if sqdist(basis.vector(c), target) <= big * big}
+        assert ball_coeff_set(ball) == expect
+        for i in range(len(ball)):
+            assert ball.exact_sqdist(i) == sqdist(basis.vector(ball.coeffs[i]), target)
+
+
+@pytest.mark.parametrize("scale", [10**10, 10**14, 10**20])
 def test_closest_vector_keeps_its_answer_at_large_coordinates(scale):
     # lattice points far from the origin plus offsets of denominator 16: the
-    # answer is the one for the offset alone, moved by the lattice point
+    # answer, and the ball, is the one for the offset alone, moved by the
+    # lattice point; 10**20 coefficients no longer fit int64
     basis = random_integer(4, seed=0)
     rng = random.Random(scale)
     for _ in range(40):
         coeffs = [rng.randint(-scale, scale) for _ in range(4)]
         point = basis.vector(coeffs)
         offset = frac_vector([rng.randint(-64, 64) for _ in range(4)], 16)
-        got = closest_vector(basis, [p + o for p, o in zip(point, offset)])
+        target = [p + o for p, o in zip(point, offset)]
+        got = closest_vector(basis, target)
         assert got is not None
         vec, got_coeffs, sq = got
         near_vec, near_coeffs, near_sq = closest_vector(basis, offset)
         assert sq == near_sq
         assert got_coeffs == tuple(c + d for c, d in zip(coeffs, near_coeffs))
         assert vec == tuple(p + v for p, v in zip(point, near_vec))
+        ball, near_ball = enumerate_ball(basis, target, 8), enumerate_ball(basis, offset, 8)
+        assert len(near_ball) > 0
+        moved = [[c - d for c, d in zip(row, coeffs)] for row in ball.coeffs.tolist()]
+        assert moved == near_ball.coeffs.tolist()
+        assert ([ball.exact_sqdist(i) for i in range(len(ball))]
+                == [near_ball.exact_sqdist(i) for i in range(len(near_ball))])

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latgauss.advice import generate_advice
-from latgauss.enumeration import closest_vector
+from latgauss.enumeration import closest_vector, enumerate_ball
 from latgauss.generators import checkerboard, random_integer
 from latgauss.lattice import (
     LatticeBasis,
@@ -227,6 +227,10 @@ def test_non_finite_inputs_fail_at_the_boundary(bad):
     basis = random_integer(3)
     with pytest.raises(ValueError, match="must be finite"):
         closest_vector(basis, (bad, 0, 0))
+    with pytest.raises(ValueError, match="must be finite"):
+        closest_vector(basis, (0, 0, 0), radius=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        enumerate_ball(basis, (0, 0, 0), bad)
     with pytest.raises(ValueError, match="must be finite"):
         LatticeBasis([(bad, 0), (0, 1)])
     adv = generate_advice(basis, 1e-3, 20, seed=0)
