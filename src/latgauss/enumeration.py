@@ -60,8 +60,8 @@ def _integerize(basis, center):
     d = basis.denominator
     for x in center:
         d = _lcm(d, x.denominator)
-    rows_int = [[int(x * d) for x in row] for row in basis.rows]
-    center_int = [int(x * d) for x in center]
+    rows_int = [[x.numerator * (d // x.denominator) for x in row] for row in basis.rows]
+    center_int = [x.numerator * (d // x.denominator) for x in center]
     return rows_int, center_int, d
 
 
@@ -142,13 +142,15 @@ def _prepare(basis, center):
     mu = [[float(gs.mu[j][i]) if j > i else 0.0 for j in range(n)] for i in range(n)]
     d2 = d * d
     bstar2 = [float(s * d2) for s in gs.sqnorms]
+    # the b*_i are orthogonal, so the center's coordinates need no running
+    # residual and its off-span part is what their squares leave over
     tau = []
-    perp = center
+    sq_perp = sqnorm(center)
     for w, s in zip(gs.orthogonal, gs.sqnorms):
-        t = sum((a * b for a, b in zip(perp, w)), Fraction(0)) / s
+        dot = _dot(center, w)
+        t = dot / s
         tau.append(float(t))
-        perp = tuple(a - t * b for a, b in zip(perp, w))
-    sq_perp = sum((a * a for a in perp), Fraction(0))
+        sq_perp -= t * dot
     return rows_int, center_int, d, mu, bstar2, tau, float(sq_perp * d2)
 
 
