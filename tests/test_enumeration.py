@@ -217,7 +217,7 @@ def test_exact_search_scores_in_big_integers():
 def test_closest_vector_keeps_its_answer_at_large_coordinates(scale):
     # lattice points far from the origin plus offsets of denominator 16: the
     # answer, and the ball, is the one for the offset alone, moved by the
-    # lattice point; 10**20 coefficients no longer fit int64
+    # lattice point; 10**20 coefficients do not fit int64
     basis = random_integer(4, seed=0)
     rng = random.Random(scale)
     for _ in range(40):
