@@ -32,11 +32,11 @@ def default_denom_floor(eps):
     return 0.25 * check_eps(eps) ** 0.25
 
 
-def advice_count(n, eps, factor=2.0):
-    """Sample count ceil(factor * n * ln(1/eps) / sqrt(eps)) for a rank-n lattice."""
+def advice_count(n, eps):
+    """Sample count ceil(2 * n * ln(1/eps) / sqrt(eps)) for a rank-n lattice."""
     eps = check_eps(eps)
     n = check_count("n", n)
-    return int(math.ceil(factor * n * math.log(1.0 / eps) / math.sqrt(eps)))
+    return int(math.ceil(2.0 * n * math.log(1.0 / eps) / math.sqrt(eps)))
 
 
 class GaussianAdvice:
@@ -211,7 +211,7 @@ class GaussianAdvice:
         return ts, vals
 
 
-def generate_advice(basis, eps, count, seed, eta=None, budget=None):
+def generate_advice(basis, eps, count, seed, eta=None):
     """count i.i.d. draws from the dual Gaussian at the smoothing width.
 
     The sampling width is eta_eps(L*) computed here unless eta is given;
@@ -222,8 +222,6 @@ def generate_advice(basis, eps, count, seed, eta=None, budget=None):
     eps = check_eps(eps, upper=1.0 / 200.0)
     count = check_count("count", count)
     if eta is None:
-        eta = smoothing_parameter(basis.dual, eps, budget=budget).value
-    draws = sample_lattice_gaussian(
-        basis.dual, s=eta, count=count, rng=stream(seed, 0), budget=budget
-    )
+        eta = smoothing_parameter(basis.dual, eps).value
+    draws = sample_lattice_gaussian(basis.dual, s=eta, count=count, rng=stream(seed, 0))
     return GaussianAdvice(basis, draws.coeffs, eps, seed)

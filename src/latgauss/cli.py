@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Verbs: gen-lattice, preprocess, decode, reduce, experiment, verify. All
-output is plain text or CSV; exit status is nonzero when an experiment
-assertion or a verification verdict fails. The environment variable
-LATGAUSS_BUDGET overrides the enumeration node budget process-wide.
+output is plain text or CSV. Exit status is 1 when an experiment assertion
+or a verification verdict fails, and 2 on bad input or when a search runs
+past the enumeration node budget. The environment variable LATGAUSS_BUDGET
+sets that budget (10,000,000 nodes per search by default).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 
 from ._validation import parse_fraction
 from .decoder import BddDecoder, FrameAbort
+from .enumeration import BudgetExceeded
 from .experiments import parse_config, run_experiment
 from .generators import generate_lattice
 from .lattice import format_basis, read_basis
@@ -178,7 +180,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError, FrameAbort) as exc:
+    except (ValueError, OSError, FrameAbort, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

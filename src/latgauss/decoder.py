@@ -51,7 +51,7 @@ def iteration_count(n, eps):
     return 1 + max(1, need)
 
 
-def decoding_radius(basis, eps, budget=None):
+def decoding_radius(basis, eps):
     """Guaranteed decoding radius delta_max * s_eps / eta_eps(L*).
 
     Standalone form that runs only the smoothing computation, for radius
@@ -59,16 +59,15 @@ def decoding_radius(basis, eps, budget=None):
     """
     eps = check_eps(eps, upper=1.0 / 200.0)
     s_eps, dmax = decoding_width(eps)
-    eta = smoothing_parameter(basis.dual, eps, budget=budget)
+    eta = smoothing_parameter(basis.dual, eps)
     return dmax * s_eps / eta.value
 
 
-def bdd_param_plan(alpha, n, factor=2.0):
+def bdd_param_plan(alpha, n):
     """(eps, n_advice) reaching decoding radius alpha * lambda_1 on rank n.
 
     eps comes from the closed form 1/eps = exp(2 a^2 n / (1-2a)^2 +
-    8/(1-2a)) / 2 - 1; the advice count follows from advice_count with the
-    given factor.
+    8/(1-2a)) / 2 - 1; the advice count is advice_count(n, eps).
     """
     n = check_count("n", n)
     alpha = float(alpha)
@@ -81,7 +80,7 @@ def bdd_param_plan(alpha, n, factor=2.0):
             f"planned 1/eps = {inv_eps:.1f} does not clear 200; increase n or adjust alpha"
         )
     eps = 1.0 / inv_eps
-    return eps, advice_count(n, eps, factor)
+    return eps, advice_count(n, eps)
 
 
 @dataclass(frozen=True)
@@ -204,38 +203,34 @@ class BddDecoder(ParamMixin):
     eps : promise parameter in (0, 1/200); smaller values buy a larger
         decoding radius at the cost of more advice.
     n_advice : number of dual Gaussian draws; None uses
-        advice_count(rank, eps, advice_factor).
-    advice_factor : leading constant of the default advice count.
+        advice_count(rank, eps).
     seed : master seed for the draws.
-    denom_floor : ascent guard floor; None uses eps^(1/4)/4.
-    budget : enumeration node budget override for preprocessing.
+
+    The ascent guard floor is default_denom_floor(eps) = eps^(1/4)/4.
+    Preprocessing enumerates the dual lattice under the node budget that
+    LATGAUSS_BUDGET sets (see BudgetExceeded).
 
     Fitted attributes carry a trailing underscore; radius_ is the decoding
     radius in original units and iterations_ the fixed ascent length.
     """
 
-    def __init__(self, eps, n_advice=None, advice_factor=2.0, seed=0,
-                 denom_floor=None, budget=None):
+    def __init__(self, eps, n_advice=None, seed=0):
         self.eps = eps
         self.n_advice = n_advice
-        self.advice_factor = advice_factor
         self.seed = seed
-        self.denom_floor = denom_floor
-        self.budget = budget
 
     def fit(self, basis):
         """Preprocess the lattice: smoothing, normalization, advice, frame."""
         eps = check_eps(self.eps, upper=1.0 / 200.0)
         if basis.rank == 0:
             raise ValueError("cannot decode against a rank-0 lattice")
-        eta = smoothing_parameter(basis.dual, eps, budget=self.budget)
+        eta = smoothing_parameter(basis.dual, eps)
         scale = Fraction(eta.value)
         count = self.n_advice
         if count is None:
-            count = advice_count(basis.rank, eps, self.advice_factor)
+            count = advice_count(basis.rank, eps)
         advice = generate_advice(
-            basis.scaled(scale), eps, check_count("n_advice", count), self.seed,
-            eta=1.0, budget=self.budget,
+            basis.scaled(scale), eps, check_count("n_advice", count), self.seed, eta=1.0
         )
         self._set_state(basis, scale, advice, _frame_indices(advice), eta=eta)
         return self
@@ -290,9 +285,7 @@ class BddDecoder(ParamMixin):
             )
         if not np.isfinite(ts).all():
             raise ValueError("targets must have finite coordinates")
-        floor = self.denom_floor
-        if floor is None:
-            floor = default_denom_floor(self.advice_.eps)
+        floor = default_denom_floor(self.advice_.eps)
         cur = float(self.scale_) * ts
         k = cur.shape[0]
         guarded_at = np.full(k, -1)

@@ -17,14 +17,14 @@ runaway trees.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import config
-from ._validation import as_fraction, as_fraction_vector
+from ._validation import as_fraction, as_fraction_vector, check_count
 from .lattice import (
     LatticeBasis,
     _dot,
@@ -40,12 +40,16 @@ from .lattice import (
 SLACK = 1e-6
 ABS_SLACK = 1e-9
 
+# node budget of one search; the environment variable LATGAUSS_BUDGET
+# replaces it for a whole run
+DEFAULT_BUDGET = 10_000_000
+
 
 class BudgetExceeded(RuntimeError):
     def __init__(self, nodes, budget):
         super().__init__(
             f"enumeration visited {nodes} nodes, exceeding the budget of {budget}; "
-            "raise LATGAUSS_BUDGET or pass a larger budget if this is intended"
+            "raise LATGAUSS_BUDGET if this is intended"
         )
         self.nodes = nodes
         self.budget = budget
@@ -211,7 +215,19 @@ class BallPoints:
         return Fraction(int(self.scaled_sqdist[i]), self.scale_sq)
 
 
-def _points_within(basis, center, sq_radius, budget=None, nearest=False, nonzero=False):
+def _budget():
+    """The node budget: LATGAUSS_BUDGET when set, else DEFAULT_BUDGET."""
+    env = os.environ.get("LATGAUSS_BUDGET")
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = env
+    return check_count("LATGAUSS_BUDGET", value)
+
+
+def _points_within(basis, center, sq_radius, nearest=False, nonzero=False):
     """The one exact search behind the ball, the shortest and the closest vector.
 
     Returns the lattice points y with ||y - center||^2 <= sq_radius (exact) as
@@ -220,7 +236,7 @@ def _points_within(basis, center, sq_radius, budget=None, nearest=False, nonzero
     whole ball; sq_radius None then stands for the distance of the
     nearest-plane point. nonzero drops the origin.
     """
-    budget = config.enum_budget(budget)
+    budget = _budget()
     center = as_fraction_vector(center, basis.ambient)
     n = basis.rank
     shift, residual = (0,) * n, center
@@ -266,13 +282,13 @@ def _radius_sq(radius):
     return r * r
 
 
-def enumerate_ball(basis, center, radius, budget=None):
+def enumerate_ball(basis, center, radius):
     """Exactly the lattice points y with ||y - center|| <= radius.
 
     radius may be a float or Fraction; the boundary is included exactly.
     Output coefficients are sorted lexicographically.
     """
-    return _points_within(basis, center, _radius_sq(radius), budget)
+    return _points_within(basis, center, _radius_sq(radius))
 
 
 def _nearest(ball):
@@ -283,7 +299,7 @@ def _nearest(ball):
     return ball.basis.vector(coeffs), coeffs, ball.exact_sqdist(i)
 
 
-def shortest_vector(basis, budget=None):
+def shortest_vector(basis):
     """A shortest nonzero lattice vector, ties broken by smallest coefficients.
 
     Returns (vector, coeffs, sqnorm) with exact entries.
@@ -291,25 +307,22 @@ def shortest_vector(basis, budget=None):
     if basis.rank == 0:
         raise ValueError("the zero lattice has no nonzero vector")
     start = min(sqnorm(row) for row in basis.rows)
-    return _nearest(_points_within(basis, (0,) * basis.ambient, start, budget,
+    return _nearest(_points_within(basis, (0,) * basis.ambient, start,
                                    nearest=True, nonzero=True))
 
 
-def closest_vector(basis, target, budget=None, radius=None):
+def closest_vector(basis, target):
     """The exact closest lattice vector to target (full CVP by enumeration).
 
-    With radius given, only points within that exact distance are considered
-    and None is returned when there are none. Ties broken by lexicographically
-    smallest coefficient vector.
+    Returns (vector, coeffs, sqdist) with exact entries. Ties broken by
+    lexicographically smallest coefficient vector.
     """
-    sq_radius = None if radius is None else _radius_sq(radius)
-    ball = _points_within(basis, target, sq_radius, budget, nearest=True)
-    return _nearest(ball) if len(ball) else None
+    return _nearest(_points_within(basis, target, None, nearest=True))
 
 
-def lambda1(basis, budget=None):
+def lambda1(basis):
     """Exact squared length of the shortest nonzero vector."""
-    return shortest_vector(basis, budget=budget)[2]
+    return shortest_vector(basis)[2]
 
 
 def _xgcd(a, b):
@@ -369,7 +382,7 @@ def _size_reduce(basis):
     return rows
 
 
-def hkz_reduce(basis, svp=None, budget=None):
+def hkz_reduce(basis, svp=None):
     """A Hermite-Korkine-Zolotarev reduced basis of the same lattice.
 
     b*_k is a shortest vector of the k-th projected lattice for every k, and
@@ -378,7 +391,7 @@ def hkz_reduce(basis, svp=None, budget=None):
     yields the relaxed (factor-g) variant with identical bookkeeping.
     """
     if svp is None:
-        svp = lambda b: shortest_vector(b, budget=budget)[1]
+        svp = lambda b: shortest_vector(b)[1]
     rows = [tuple(r) for r in basis.rows]
     n = len(rows)
     for k in range(n - 1):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from ._validation import as_float_vector, as_fraction_vector, check_count, check_eps, check_positive
 from .enumeration import enumerate_ball, lambda1
 from .lattice import LatticeBasis, _span_coefficients, lattice_coefficients
@@ -74,10 +73,10 @@ class CertifiedSum:
         return (self.upper - self.lower) / self.lower if self.lower > 0 else math.inf
 
 
-def gaussian_mass(basis, s=1.0, center=None, rel_tol=1e-12, budget=None):
+def gaussian_mass(basis, s=1.0, center=None):
     """Certified rho_s(L + center) = sum over y in L of exp(-pi||y+center||^2/s^2).
 
-    rel_tol controls the tail cut relative to the centered mass rho_s(L); for
+    The tail cut leaves out at most 5e-13 of the centered mass rho_s(L); for
     centers deep outside the lattice the enclosure is still correct but its
     relative width is measured against that larger scale.
     """
@@ -89,16 +88,16 @@ def gaussian_mass(basis, s=1.0, center=None, rel_tol=1e-12, budget=None):
     if n == 0:
         v = math.exp(-_PI * float(sum(x * x for x in center)) / (s * s))
         return CertifiedSum(v, v, 1, 0.0)
-    q = min(rel_tol / 2.0, 0.25)
+    q = 5e-13
     radius = _radius_for(n, s, q)
     shifted = any(center) and lattice_coefficients(basis, center) is None
     if shifted:
         # tail of the shifted sum is bounded by the centered mass, so pin
         # that down first
-        base = gaussian_mass(basis, s, None, rel_tol, budget)
+        base = gaussian_mass(basis, s)
         perp = _span_residual_sq(basis, center)
         radius = math.sqrt(radius * radius + perp) * (1.0 + 1e-9)
-    ball = enumerate_ball(basis, tuple(-x for x in center), radius, budget=budget)
+    ball = enumerate_ball(basis, tuple(-x for x in center), radius)
     partial = float(_ball_weights(ball, s).sum())
     if shifted:
         upper = partial + q * base.upper
@@ -114,10 +113,10 @@ def _span_residual_sq(basis, vec):
     return float(sum((a - b) ** 2 for a, b in zip(vec, proj)))
 
 
-def periodic_gaussian_interval(basis, t, s=1.0, rel_tol=1e-12, budget=None):
+def periodic_gaussian_interval(basis, t, s=1.0):
     """Enclosure of f_s(t) = rho_s(L + t) / rho_s(L) from two primal sums."""
-    num = gaussian_mass(basis, s, t, rel_tol, budget)
-    den = gaussian_mass(basis, s, None, rel_tol, budget)
+    num = gaussian_mass(basis, s, t)
+    den = gaussian_mass(basis, s)
     return num.lower / den.upper, num.upper / den.lower
 
 
@@ -127,11 +126,11 @@ class PeriodicGaussian:
     Works on the Fourier side: f_s(t) = sum over w in the dual lattice of
     rho_{1/s}(w) cos(2 pi <w, t>), normalized by rho_{1/s}(L*). The dual ball
     that carries all but a q-fraction of the mass is enumerated once at
-    construction; evaluations are then vectorized cosine sums. f_err,
+    construction, with q = 5e-10; evaluations are then vectorized cosine sums. f_err,
     grad_err, and hess_err are absolute error bounds valid for every t.
     """
 
-    def __init__(self, basis, s=1.0, rel_tol=1e-9, budget=None):
+    def __init__(self, basis, s=1.0):
         self.basis = basis
         self.s = s = check_positive("s", s)
         n = basis.rank
@@ -139,9 +138,9 @@ class PeriodicGaussian:
             raise ValueError("rank-0 lattice has a constant density")
         dual = basis.dual
         u = 1.0 / s
-        q = min(rel_tol / 2.0, 2.0 ** -20)
+        q = 5e-10
         radius = _radius_for(n, u, q)
-        ball = enumerate_ball(dual, (0,) * basis.ambient, radius, budget=budget)
+        ball = enumerate_ball(dual, (0,) * basis.ambient, radius)
         w_ld = _ball_weights(ball, u)
         den = float(w_ld.sum())
         self.points = len(ball)
@@ -217,19 +216,19 @@ class SmoothingResult:
         return (self.upper - self.lower) / self.value
 
 
-def smoothing_parameter(basis, eps, rel_tol=1e-10, budget=None):
+def smoothing_parameter(basis, eps):
     """eta_eps(L): the width s at which rho_{1/s}(L* minus 0) equals eps.
 
     Brackets come from the shortest dual vector, the dual ball is enumerated
     once at the widest width and reweighted per bisection step, and the
-    bracket shrinks until its relative width is below rel_tol.
+    bracket shrinks until its relative width is below 1e-10.
     """
     eps = check_eps(eps)
     if basis.rank == 0:
         raise ValueError("rank-0 lattice has no smoothing parameter")
     n = basis.rank
     dual = basis.dual
-    lam = math.sqrt(float(lambda1(dual, budget=budget)))
+    lam = math.sqrt(float(lambda1(dual)))
     lo = math.sqrt(math.log(2.0 / eps) / _PI) / lam
     hi = (math.sqrt(n / (2.0 * _PI)) + math.sqrt(math.log((1.0 + eps) / eps) / _PI)) / lam
     lo *= 1.0 - 1e-12
@@ -240,7 +239,7 @@ def smoothing_parameter(basis, eps, rel_tol=1e-10, budget=None):
     # one ball at the widest Gaussian serves every bisection query
     q = min(eps * 1e-12, 2.0 ** -30)
     radius = _radius_for(n, 1.0 / lo, q)
-    ball = enumerate_ball(dual, (0,) * basis.ambient, radius, budget=budget)
+    ball = enumerate_ball(dual, (0,) * basis.ambient, radius)
     sq = _scaled_sqdists(ball)
     nonzero = sq > 0
     sq = sq[nonzero]
@@ -251,7 +250,7 @@ def smoothing_parameter(basis, eps, rel_tol=1e-10, budget=None):
 
     if not mass_nonzero(lo) >= eps >= mass_nonzero(hi):
         raise RuntimeError("smoothing bracket failed; lattice data may be degenerate")
-    while (hi - lo) / hi > rel_tol:
+    while (hi - lo) / hi > 1e-10:
         mid = 0.5 * (lo + hi)
         partial = mass_nonzero(mid)
         tail = q * (1.0 + partial) / (1.0 - q)
@@ -330,17 +329,18 @@ def _orthogonal_rows(basis):
     return all(g[i][j] == 0 for i in range(n) for j in range(i + 1, n))
 
 
-def sample_lattice_gaussian(basis, s=1.0, count=1, rng=None, seed=None, budget=None):
+def sample_lattice_gaussian(basis, s=1.0, count=1, rng=None):
     """Draw count points from D_{L,s}, proportional to exp(-pi||y||^2/s^2).
 
     Orthogonal bases factor into independent one-dimensional integer
     Gaussians per coordinate; otherwise the full ball carrying all but
-    ~2^-40 of the mass is tabulated, which is only practical in low rank.
+    ~2^-44 of the mass is tabulated, which is only practical in low rank.
+    rng defaults to stream(0).
     """
     s = check_positive("s", s)
     count = check_count("count", count)
     if rng is None:
-        rng = stream(0 if seed is None else seed)
+        rng = stream(0)
     n = basis.rank
     if n == 0:
         return GaussianSamples(basis, s, np.zeros((count, 0), dtype=np.int64), 1.0, "trivial")
@@ -363,11 +363,8 @@ def sample_lattice_gaussian(basis, s=1.0, count=1, rng=None, seed=None, budget=N
 
     q = 2.0 ** -44
     radius = _radius_for(n, s, q)
-    ball = enumerate_ball(basis, (0,) * basis.ambient, radius, budget=budget)
+    ball = enumerate_ball(basis, (0,) * basis.ambient, radius)
     w = _ball_weights(ball, s)
     p = (w / w.sum()).astype(np.float64)
     idx = rng.choice(len(ball), size=count, p=p / p.sum())
-    mass = 1.0 - q / (1.0 - q)
-    if mass < config.SAMPLER_MASS_FLOOR:
-        raise RuntimeError("sampler support mass fell below the configured floor")
-    return GaussianSamples(basis, s, ball.coeffs[idx], mass, "table")
+    return GaussianSamples(basis, s, ball.coeffs[idx], 1.0 - q / (1.0 - q), "table")

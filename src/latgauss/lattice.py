@@ -90,8 +90,8 @@ class LatticeBasis:
 
     @cached_property
     def gram_det(self):
-        """det(B B^T), the squared covolume."""
-        return _det(self.gram)
+        """det(B B^T), the squared covolume: the product of the ||b*_i||^2."""
+        return math.prod(self.gram_schmidt.sqnorms, start=Fraction(1))
 
     @cached_property
     def gram_schmidt(self):
@@ -155,26 +155,6 @@ def _gram_schmidt(rows):
         mu.append(tuple(coeffs))
         sq.append(_dot(cur, cur))
     return GramSchmidt(tuple(ortho), tuple(mu), tuple(sq))
-
-
-def _det(mat):
-    n = len(mat)
-    m = [list(r) for r in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
 
 
 def invert_matrix(mat):

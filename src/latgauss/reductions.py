@@ -53,7 +53,7 @@ from .lattice import (
 from .rng import stream
 
 
-def oracle_inner(budget=None):
+def oracle_inner():
     """The exact closest-vector callback; satisfies any promise trivially.
 
     Pairing the reducers with this solver isolates their approximation
@@ -61,12 +61,12 @@ def oracle_inner(budget=None):
     """
 
     def solve(basis, target):
-        return closest_vector(basis, target, budget=budget)[1]
+        return closest_vector(basis, target)[1]
 
     return solve
 
 
-def bdd_inner(alpha=0.15, seed=0, advice_factor=2.0, budget=None):
+def bdd_inner(alpha=0.15, seed=0):
     """A promise solver backed by BddDecoder, one fit per distinct lattice.
 
     Decoder parameters come from bdd_param_plan(alpha, rank). A decode
@@ -79,8 +79,8 @@ def bdd_inner(alpha=0.15, seed=0, advice_factor=2.0, budget=None):
     def solve(basis, target):
         dec = fitted.get(basis)
         if dec is None:
-            eps, count = bdd_param_plan(alpha, basis.rank, factor=advice_factor)
-            dec = BddDecoder(eps=eps, n_advice=count, seed=seed, budget=budget).fit(basis)
+            eps, count = bdd_param_plan(alpha, basis.rank)
+            dec = BddDecoder(eps=eps, n_advice=count, seed=seed).fit(basis)
             fitted[basis] = dec
         res = dec.decode([float(x) for x in target])
         return res.coeffs if res.status == EXACT else None
@@ -88,8 +88,8 @@ def bdd_inner(alpha=0.15, seed=0, advice_factor=2.0, budget=None):
     return solve
 
 
-def _solver(inner, budget):
-    return inner if inner is not None else oracle_inner(budget)
+def _solver(inner):
+    return inner if inner is not None else oracle_inner()
 
 
 def _complete(hkz, t, tails):
@@ -140,19 +140,18 @@ class KannanReducer(ParamMixin):
     gamma(0) = 0.
     """
 
-    def __init__(self, alpha=0.5, inner=None, budget=None):
+    def __init__(self, alpha=0.5, inner=None):
         self.alpha = alpha
         self.inner = inner
-        self.budget = budget
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        self.hkz_ = hkz_reduce(basis, budget=self.budget)
+        self.hkz_ = hkz_reduce(basis)
         self.levels_ = _levels(self.hkz_)
         return self
 
     def reduce(self, target):
-        return _scan(self.hkz_, self.levels_, target, _solver(self.inner, self.budget))
+        return _scan(self.hkz_, self.levels_, target, _solver(self.inner))
 
 
 def _master_indices(hkz, g, h):
@@ -198,16 +197,15 @@ class MasterReducer(ParamMixin):
     c * sqrt(n) / (2 alpha) when the solver honors its promise.
     """
 
-    def __init__(self, g=1.0, h=0, alpha=0.5, inner=None, budget=None):
+    def __init__(self, g=1.0, h=0, alpha=0.5, inner=None):
         self.g = g
         self.h = h
         self.alpha = alpha
         self.inner = inner
-        self.budget = budget
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        hkz = hkz_reduce(basis, budget=self.budget)
+        hkz = hkz_reduce(basis)
         idx = _master_indices(hkz, self.g, self.h)
         r = int(self.h) + 1
         self.hkz_ = hkz
@@ -232,7 +230,7 @@ class MasterReducer(ParamMixin):
         them.
         """
         hkz, idx = self.hkz_, self.indices_
-        inner = _solver(self.inner, self.budget)
+        inner = _solver(self.inner)
         r = int(self.h) + 1
         t = as_fraction_vector(target, hkz.ambient)
         tails = []
@@ -260,20 +258,17 @@ class PromiseReducer(ParamMixin):
     within g * sqrt(n+3) / 2 of the true distance.
     """
 
-    def __init__(self, inner=None, budget=None):
+    def __init__(self, inner=None):
         self.inner = inner
-        self.budget = budget
 
     def fit(self, basis):
-        inner = _solver(self.inner, self.budget)
-        self.hkz_ = hkz_reduce(
-            basis, svp=lambda b: shortest_via_promise_cvp(b, inner), budget=self.budget
-        )
+        inner = _solver(self.inner)
+        self.hkz_ = hkz_reduce(basis, svp=lambda b: shortest_via_promise_cvp(b, inner))
         self.levels_ = _levels(self.hkz_)
         return self
 
     def reduce(self, target):
-        return _scan(self.hkz_, self.levels_, target, _solver(self.inner, self.budget))
+        return _scan(self.hkz_, self.levels_, target, _solver(self.inner))
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -378,9 +373,9 @@ def sparse_coset_sample(basis, p, seed):
     return _sample_coset(basis, p, stream(seed))
 
 
-def _ball_count(basis, sq_radius, budget=None):
+def _ball_count(basis, sq_radius):
     """Exact count of lattice points with squared norm <= sq_radius, origin included."""
-    return len(_points_within(basis, (0,) * basis.ambient, sq_radius, budget))
+    return len(_points_within(basis, (0,) * basis.ambient, sq_radius))
 
 
 # the paper-mode prime sweep tries at most this many powers of two
@@ -413,13 +408,12 @@ class SparsifyReducer(ParamMixin):
     fails it holds the Babai point with ok False.
     """
 
-    def __init__(self, tau=1.0, inner=None, mode="paper", trials=1, seed=0, budget=None):
+    def __init__(self, tau=1.0, inner=None, mode="paper", trials=1, seed=0):
         self.tau = tau
         self.inner = inner
         self.mode = mode
         self.trials = trials
         self.seed = seed
-        self.budget = budget
 
     def fit(self, basis):
         check_positive("tau", as_fraction(self.tau))
@@ -433,20 +427,20 @@ class SparsifyReducer(ParamMixin):
         return self
 
     def reduce(self, target):
-        work, scale, budget = self.work_, self.scale_, self.budget
+        work, scale = self.work_, self.scale_
         tau = as_fraction(self.tau)
-        inner = _solver(self.inner, budget)
+        inner = _solver(self.inner)
         t = as_fraction_vector(target, work.ambient)
         tw = tuple(scale * x for x in t) if scale > 1 else t
 
         if self.mode == "oracle":
-            opt_sq = closest_vector(work, tw, budget=budget)[2]
-            counted = _ball_count(work, tau * tau * opt_sq, budget)
+            opt_sq = closest_vector(work, tw)[2]
+            counted = _ball_count(work, tau * tau * opt_sq)
             primes = (_next_prime(2 * counted),)
         else:
             bv, _ = nearest_plane(work, tw)
             try:
-                cap = _ball_count(work, tau * tau * sqdist(bv, tw), budget)
+                cap = _ball_count(work, tau * tau * sqdist(bv, tw))
             except BudgetExceeded:
                 cap = None
             top = _SWEEP if cap is None else min(_SWEEP, max(1, (2 * cap).bit_length()))

@@ -37,7 +37,6 @@ def test_advice_count_frozen_values():
     assert advice_count(4, 1e-3) == 1748
     assert advice_count(3, 1e-2) == 277
     assert advice_count(8, 1e-6) == math.ceil(2 * 8 * math.log(1e6) / math.sqrt(1e-6))
-    assert advice_count(4, 1e-3, factor=4.0) >= 2 * advice_count(4, 1e-3) - 1
 
 
 def test_estimator_is_one_at_lattice_points_and_bounded():

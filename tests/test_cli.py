@@ -80,6 +80,18 @@ def test_malformed_targets_exit_with_status_2(tmp_path, capsys, target):
         assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("budget", ("5", "0", "1e7"))
+def test_budget_errors_exit_with_status_2(tmp_path, capsys, monkeypatch, budget):
+    # "5" stops the search at its sixth node; the others are not positive integers
+    lat = tmp_path / "lat.txt"
+    run(capsys, "gen-lattice", "--spec", "random-integer:6", "--seed", "3", "--out", str(lat))
+    monkeypatch.setenv("LATGAUSS_BUDGET", budget)
+    code, _, stderr = run(capsys, "reduce", "kannan", "--lattice", str(lat),
+                          "--target", "1/2,0,0,0,0,0")
+    assert code == 2
+    assert stderr.startswith("error:") and "LATGAUSS_BUDGET" in stderr
+
+
 @pytest.mark.parametrize("scheme", ("kannan", "master", "promise"))
 def test_reduce_schemes_print_a_vector(tmp_path, capsys, scheme):
     lat = tmp_path / "lat.txt"

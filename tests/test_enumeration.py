@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latgauss.enumeration import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
+    _budget,
     closest_vector,
     complete_to_unimodular,
     enumerate_ball,
@@ -146,22 +148,27 @@ def test_hkz_reduce_outputs_are_pinned():
     assert digest == "1bacd8dc4d26d48932dadf8b4adbbf3644103ac62408118accc4ff785908dcb4"
 
 
-def test_budget_exceeded_propagates():
+def test_budget_exceeded_propagates(monkeypatch):
     basis = random_integer(4, seed=1)
+    monkeypatch.setenv("LATGAUSS_BUDGET", "2")
     with pytest.raises(BudgetExceeded):
-        closest_vector(basis, frac_vector((1, 2, 3, 4), 3), budget=2)
+        closest_vector(basis, frac_vector((1, 2, 3, 4), 3))
     with pytest.raises(BudgetExceeded):
-        shortest_vector(basis, budget=2)
+        shortest_vector(basis)
 
 
-def test_budget_env_override(monkeypatch):
-    from latgauss import config
-
-    monkeypatch.setenv("LATGAUSS_BUDGET", "17")
-    assert config.enum_budget() == 17
-    assert config.enum_budget(99) == 99
+@pytest.mark.parametrize("value", ("17", "0", "-3", "1e7", "abc"))
+def test_budget_env_override(monkeypatch, value):
+    # the variable is checked where a search reads it; only a positive
+    # integer sets the budget
+    monkeypatch.setenv("LATGAUSS_BUDGET", value)
+    if value == "17":
+        assert _budget() == 17
+    else:
+        with pytest.raises(ValueError, match="LATGAUSS_BUDGET must be a positive integer"):
+            shortest_vector(random_integer(3, seed=1))
     monkeypatch.delenv("LATGAUSS_BUDGET")
-    assert config.enum_budget() == config.DEFAULT_ENUM_BUDGET
+    assert _budget() == DEFAULT_BUDGET
 
 
 def test_complete_to_unimodular():

@@ -23,6 +23,7 @@ from latgauss.gaussian import (
 )
 from latgauss.generators import checkerboard, integer_identity, random_integer
 from latgauss.lattice import LatticeBasis, lattice_coefficients
+from latgauss.rng import stream
 
 # one-dimensional integer-lattice sums at s = 1
 RHO_Z = 1.0864348112133080146
@@ -225,8 +226,8 @@ def test_hessian_near_origin_is_close_to_minus_identity():
 
 def test_sampler_draws_lie_in_the_lattice_and_are_deterministic():
     basis = checkerboard(3)
-    a = sample_lattice_gaussian(basis, s=2.0, count=40, seed=11)
-    b = sample_lattice_gaussian(basis, s=2.0, count=40, seed=11)
+    a = sample_lattice_gaussian(basis, s=2.0, count=40, rng=stream(11))
+    b = sample_lattice_gaussian(basis, s=2.0, count=40, rng=stream(11))
     assert np.array_equal(a.coeffs, b.coeffs)
     assert a.mass_covered > 0.999
     for row in a.coeffs:
@@ -235,14 +236,14 @@ def test_sampler_draws_lie_in_the_lattice_and_are_deterministic():
 
 
 def test_sampler_frozen_draws():
-    s = sample_lattice_gaussian(integer_identity(2), s=2.0, count=6, seed=7)
+    s = sample_lattice_gaussian(integer_identity(2), s=2.0, count=6, rng=stream(7))
     assert s.coeffs.tolist() == [[0, 0], [0, 2], [0, -1], [-1, 1], [-1, 1], [0, 0]]
     assert s.method == "product"
 
 
 def test_sampler_moments():
     n, s, count = 4, 2.0, 2000
-    draws = sample_lattice_gaussian(integer_identity(n), s=s, count=count, seed=3)
+    draws = sample_lattice_gaussian(integer_identity(n), s=s, count=count, rng=stream(3))
     norms = np.linalg.norm(draws.vectors_float(), axis=1)
     assert norms.mean() <= s * math.sqrt(n)
     assert norms.max() <= s * (math.sqrt(n) + 6.0)

@@ -228,8 +228,6 @@ def test_non_finite_inputs_fail_at_the_boundary(bad):
     with pytest.raises(ValueError, match="must be finite"):
         closest_vector(basis, (bad, 0, 0))
     with pytest.raises(ValueError, match="must be finite"):
-        closest_vector(basis, (0, 0, 0), radius=bad)
-    with pytest.raises(ValueError, match="must be finite"):
         enumerate_ball(basis, (0, 0, 0), bad)
     with pytest.raises(ValueError, match="must be finite"):
         LatticeBasis([(bad, 0), (0, 1)])

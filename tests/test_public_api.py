@@ -1,15 +1,18 @@
 """The package's public name list and the modules' imports."""
 
 import ast
+import inspect
 import pathlib
 
 import latgauss
+from latgauss import reductions
 
 SRC = pathlib.Path(latgauss.__file__).parent
 
 # not public: each duplicated a public path or is an internal helper
 REMOVED = (
     "DenominatorTooSmall",
+    "config",
     "config_hash",
     "generate_advice",
     "is_prime",
@@ -37,6 +40,26 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert not hasattr(latgauss, name), name
         assert name not in latgauss.__all__
+
+
+# settable values that only their defaults ever reached; each is a constant now
+RETIRED_KEYWORDS = {"budget", "rel_tol", "advice_factor", "denom_floor", "factor"}
+
+
+def keywords(fn):
+    """Parameter names of a callable; a class is read through its __init__."""
+    return set(inspect.signature(fn.__init__ if inspect.isclass(fn) else fn).parameters)
+
+
+def test_retired_keywords_are_gone():
+    entry_points = [getattr(latgauss, name) for name in latgauss.__all__]
+    entry_points += [reductions.oracle_inner, reductions.bdd_inner]
+    for fn in entry_points:
+        # BudgetExceeded reports the budget it ran past; that is not a setting
+        if callable(fn) and fn is not latgauss.BudgetExceeded:
+            assert not keywords(fn) & RETIRED_KEYWORDS, fn
+    assert "radius" not in keywords(latgauss.closest_vector)
+    assert "seed" not in keywords(latgauss.sample_lattice_gaussian)
 
 
 def unused_imports(path):

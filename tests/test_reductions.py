@@ -16,7 +16,6 @@ from latgauss.reductions import (
     _is_prime,
     _master_indices,
     bdd_inner,
-    oracle_inner,
     sparse_coset_sample,
 )
 from latgauss.rng import stream
@@ -236,7 +235,11 @@ def test_sparsify_reduce_failure_falls_back_to_babai():
 def test_sparsify_reduce_treats_budget_overruns_as_failures():
     basis = random_integer(3, seed=11)
     t = frac_vector((5, 1, -9), 4)
-    red = SparsifyReducer(tau=1.0, inner=oracle_inner(budget=1), seed=0, trials=2)
+
+    def overrunning(sub, target):
+        raise BudgetExceeded(2, 1)
+
+    red = SparsifyReducer(tau=1.0, inner=overrunning, seed=0, trials=2)
     res = red.fit(basis).reduce(t)
     assert not res.ok
 
