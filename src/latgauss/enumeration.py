@@ -21,14 +21,15 @@ import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from ._validation import as_fraction, as_fraction_vector, check_count
 from .lattice import (
     LatticeBasis,
-    _dot,
-    _sub_scaled,
+    _clear,
+    _round_half_even,
     invert_matrix,
     nearest_plane,
     project_lattice,
@@ -53,20 +54,6 @@ class BudgetExceeded(RuntimeError):
         )
         self.nodes = nodes
         self.budget = budget
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
-def _integerize(basis, center):
-    """Clear denominators: return (int rows, int center, d) for d*L and d*center."""
-    d = basis.denominator
-    for x in center:
-        d = _lcm(d, x.denominator)
-    rows_int = [[x.numerator * (d // x.denominator) for x in row] for row in basis.rows]
-    center_int = [x.numerator * (d // x.denominator) for x in center]
-    return rows_int, center_int, d
 
 
 def _search(mu, bstar2, tau, const, bound, budget, emit):
@@ -139,23 +126,24 @@ def _search(mu, bstar2, tau, const, bound, budget, emit):
 
 
 def _prepare(basis, center):
-    rows_int, center_int, d = _integerize(basis, center)
-    gs = basis.gram_schmidt
+    """Integer rows and centre over d = lcm(basis denominator, centre's), and
+    the float search data read from the basis frame.
+
+    The b*_i are orthogonal, so the centre's coordinates need no running
+    residual, and its off-span square is <C, P> / D_{n-1} for the frame
+    projection P of the integer centre C.
+    """
+    f = basis._frame
     n = basis.rank
-    # transposed so row i holds the influence of x_j (j > i) on level i's center
-    mu = [[float(gs.mu[j][i]) if j > i else 0.0 for j in range(n)] for i in range(n)]
-    d2 = d * d
-    bstar2 = [float(s * d2) for s in gs.sqnorms]
-    # the b*_i are orthogonal, so the center's coordinates need no running
-    # residual and its off-span part is what their squares leave over
-    tau = []
-    sq_perp = sqnorm(center)
-    for w, s in zip(gs.orthogonal, gs.sqnorms):
-        dot = _dot(center, w)
-        t = dot / s
-        tau.append(float(t))
-        sq_perp -= t * dot
-    return rows_int, center_int, d, mu, bstar2, tau, float(sq_perp * d2)
+    d, center_int = _clear(center, f.d)
+    k = d // f.d
+    rows_int = f.rows if k == 1 else tuple(tuple(x * k for x in r) for r in f.rows)
+    bstar2 = [det * k * k / f.det(i - 1) for i, det in enumerate(f.dets)]
+    tau = [sum(map(mul, center_int, w)) / (k * det) for w, det in zip(f.w, f.dets)]
+    perp = 0.0
+    if n < basis.ambient:
+        perp = sum(map(mul, center_int, f.project(n, center_int))) / f.det(n - 1)
+    return rows_int, center_int, d, f.float_mu, bstar2, tau, perp
 
 
 def _exact_sqdists(coeffs, rows_int, center_int):
@@ -369,17 +357,17 @@ def complete_to_unimodular(a):
 def _size_reduce(basis):
     """Make |mu_ij| <= 1/2 by integer row operations (exact).
 
-    Row operations leave every b*_j unchanged, so mu_ij is read from the
-    current row i and the Gram-Schmidt data of the input, computed once.
+    Row operations leave every b*_j unchanged, so mu_ij = <R_i, W_j> / D_j is
+    read from the current integer row i and the frame of the input.
     """
-    gs = basis.gram_schmidt
-    rows = list(basis.rows)
+    f = basis._frame
+    rows = list(f.rows)
     for i in range(1, len(rows)):
         for j in range(i - 1, -1, -1):
-            c = round(_dot(rows[i], gs.orthogonal[j]) / gs.sqnorms[j])
+            c = _round_half_even(sum(map(mul, rows[i], f.w[j])), f.dets[j])
             if c:
-                rows[i] = _sub_scaled(rows[i], rows[j], c)
-    return rows
+                rows[i] = tuple(a - c * b for a, b in zip(rows[i], rows[j]))
+    return [tuple(Fraction(x, f.d) for x in r) for r in rows]
 
 
 def hkz_reduce(basis, svp=None):
@@ -402,17 +390,8 @@ def hkz_reduce(basis, svp=None):
             g = math.gcd(g, abs(int(v)))
         if g > 1:
             coeffs = [v // g for v in coeffs]
-        u = complete_to_unimodular(coeffs)
-        tail = rows[k:]
-        new_tail = []
-        for urow in u:
-            vec = [Fraction(0)] * basis.ambient
-            for c, r in zip(urow, tail):
-                if c:
-                    for j, x in enumerate(r):
-                        vec[j] += c * x
-            new_tail.append(tuple(vec))
-        rows[k:] = new_tail
+        head = (0,) * k
+        rows[k:] = [work.vector(head + tuple(u)) for u in complete_to_unimodular(coeffs)]
     rows = _size_reduce(LatticeBasis(rows, ambient=basis.ambient))
     return LatticeBasis(rows, ambient=basis.ambient)
 

@@ -1,11 +1,15 @@
-"""Exact lattice bases and the rational linear algebra built on them.
+"""Exact lattice bases and the exact linear algebra built on them.
 
-A lattice is presented as a basis whose rows generate it. All algebra here
-(Gram-Schmidt, duals, projections, Babai rounding, membership) is done in
-arbitrary-precision rationals so downstream certificates can treat equalities
-and comparisons as exact. Floating point enters only through the cached
-float64 image of a basis, which the enumeration and Gaussian layers use for
-speed and always back with an exact check.
+A lattice is presented as a basis whose rows generate it. Every basis carries
+one fraction-free integer frame (_Frame): its rows cleared to integers over
+one common denominator, and their Gram-Schmidt data scaled to integers by the
+leading Gram determinants (Bareiss 1968; de Weger 1987). Gram-Schmidt, duals,
+projections, Babai rounding and membership run on Python integers over that
+frame, with fractions.Fraction only at the boundary, so downstream
+certificates can treat equalities and comparisons as exact. Floating point
+enters only through the cached float64 image of a basis, which the
+enumeration and Gaussian layers use for speed and always back with an exact
+check.
 """
 
 from __future__ import annotations
@@ -14,24 +18,85 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
 from ._validation import as_fraction_matrix, as_fraction_vector, as_integer, parse_fraction
 
-ZERO = Fraction(0)
+# one shared Fraction per integer in -256..256: lattice vectors are often
+# kept in bulk, and most coordinates of short vectors are small integers
+_SMALL = tuple(Fraction(i) for i in range(-256, 257))
+ZERO = _SMALL[256]
 
 
-def _dot(u, v):
-    acc = ZERO
-    for a, b in zip(u, v):
-        acc += a * b
-    return acc
+def _fraction(num, den):
+    """Fraction(num, den), shared for zero and for small integer values."""
+    if -256 <= num <= 256 and (den == 1 or num == 0):
+        return _SMALL[num + 256]
+    return Fraction(num, den)
 
 
-def _sub_scaled(u, v, c):
-    """u - c*v componentwise."""
-    return tuple(a - c * b for a, b in zip(u, v))
+def _clear(vector, d):
+    """(L, T): L = lcm(d, denominators of vector) and the integer vector T = L * vector."""
+    big = math.lcm(d, *(x.denominator for x in vector))
+    return big, [x.numerator * (big // x.denominator) for x in vector]
+
+
+def _round_half_even(num, den):
+    """num / den rounded to the nearest integer, ties to even (den > 0)."""
+    q, r = divmod(2 * num + den, 2 * den)
+    return q - 1 if r == 0 and q & 1 else q
+
+
+class _Frame:
+    """Fraction-free Gram-Schmidt of the rows R = d * B, d the common denominator.
+
+    With D_i = det Gram(R_0..R_i) (D_-1 = 1) and r*_i the Gram-Schmidt rows
+    of R, every W_i = D_{i-1} r*_i is an integer vector, built by the
+    exact-division recurrence P_{j+1} = (D_j P_j - <v, W_j> W_j) / D_{j-1}
+    from P_0 = v = R_i. Then b*_i = W_i / (d D_{i-1}),
+    ||b*_i||^2 = D_i / (d^2 D_{i-1}) and mu_ij = <R_i, W_j> / D_j. A zero
+    D_i means row i depends on the rows before it.
+    """
+
+    def __init__(self, rows, d):
+        self.d = d
+        self.rows = tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows)
+        self.w, self.dets = [], []
+        for v in self.rows:
+            p = self.project(len(self.w), v)
+            det = sum(map(mul, v, p))
+            if det == 0:
+                raise ValueError("basis rows are linearly dependent")
+            self.w.append(p)
+            self.dets.append(det)
+
+    def det(self, i):
+        """D_i, with D_-1 = 1."""
+        return self.dets[i] if i >= 0 else 1
+
+    def project(self, k, v):
+        """D_{k-1} times the integer vector v projected away from R_0..R_{k-1}."""
+        p, prev = v, 1
+        for w, det in zip(self.w[:k], self.dets):
+            g = sum(map(mul, v, w))
+            p = tuple((det * a - g * b) // prev for a, b in zip(p, w))
+            prev = det
+        return p
+
+    def mu_num(self, i, j):
+        """<R_i, W_j>, the numerator of mu_ij over D_j."""
+        return sum(map(mul, self.rows[i], self.w[j]))
+
+    @cached_property
+    def float_mu(self):
+        """Float mu transposed: row i holds mu_ji for j > i (zero elsewhere)."""
+        n = len(self.w)
+        return tuple(
+            tuple(self.mu_num(j, i) / self.dets[i] if j > i else 0.0 for j in range(n))
+            for i in range(n)
+        )
 
 
 class LatticeBasis:
@@ -50,63 +115,88 @@ class LatticeBasis:
                 raise ValueError("ambient dimension disagrees with row length")
         elif ambient is None:
             raise ValueError("a rank-0 basis needs an explicit ambient dimension")
-        self.rows = rows
         self.rank = len(rows)
         self.ambient = int(ambient)
         if self.rank > self.ambient:
             raise ValueError(f"{self.rank} rows cannot be independent in dimension {self.ambient}")
-        if self.rank and any(s == 0 for s in self.gram_schmidt.sqnorms):
-            raise ValueError("basis rows are linearly dependent")
+        # the frame is the basis's one stored form; rows are read back from it
+        self._frame = _Frame(rows, math.lcm(1, *(x.denominator for r in rows for x in r)))
 
     def __eq__(self, other):
         return (
             isinstance(other, LatticeBasis)
-            and self.rows == other.rows
+            and self._frame.d == other._frame.d
+            and self._frame.rows == other._frame.rows
             and self.ambient == other.ambient
         )
 
     def __hash__(self):
-        return hash((self.rows, self.ambient))
+        return hash((self._frame.d, self._frame.rows, self.ambient))
 
     def __repr__(self):
         return f"LatticeBasis(rank={self.rank}, ambient={self.ambient})"
 
     @cached_property
-    def float_rows(self):
-        arr = np.array([[float(x) for x in r] for r in self.rows], dtype=np.float64)
-        return arr.reshape(self.rank, self.ambient)
+    def rows(self):
+        """The rows as tuples of exact Fractions."""
+        f = self._frame
+        return tuple(tuple(_fraction(x, f.d) for x in r) for r in f.rows)
 
     @cached_property
+    def float_rows(self):
+        # integer true division rounds correctly, as float(Fraction) does
+        d = self._frame.d
+        arr = np.array([[x / d for x in r] for r in self._frame.rows], dtype=np.float64)
+        return arr.reshape(self.rank, self.ambient)
+
+    @property
     def denominator(self):
-        d = 1
-        for r in self.rows:
-            for x in r:
-                d = d * x.denominator // math.gcd(d, x.denominator)
-        return d
+        """The least common denominator of the entries."""
+        return self._frame.d
 
     @cached_property
     def gram(self):
-        return tuple(tuple(_dot(a, b) for b in self.rows) for a in self.rows)
+        f = self._frame
+        d2 = f.d * f.d
+        return tuple(tuple(Fraction(sum(map(mul, a, b)), d2) for b in f.rows) for a in f.rows)
 
     @cached_property
     def gram_det(self):
-        """det(B B^T), the squared covolume: the product of the ||b*_i||^2."""
-        return math.prod(self.gram_schmidt.sqnorms, start=Fraction(1))
+        """det(B B^T), the squared covolume: D_{n-1} / d^(2n) on the frame."""
+        f = self._frame
+        return Fraction(f.det(self.rank - 1), f.d ** (2 * self.rank))
+
+    @property
+    def gram_schmidt(self):
+        """The exact Gram-Schmidt data, read from the frame on each access."""
+        f = self._frame
+        d = f.d
+        return GramSchmidt(
+            tuple(tuple(Fraction(x, d * f.det(i - 1)) for x in w) for i, w in enumerate(f.w)),
+            tuple(tuple(Fraction(f.mu_num(i, j), f.dets[j]) for j in range(i))
+                  for i in range(self.rank)),
+            tuple(Fraction(f.dets[i], d * d * f.det(i - 1)) for i in range(self.rank)),
+        )
 
     @cached_property
-    def gram_schmidt(self):
-        return _gram_schmidt(self.rows)
+    def _gram_inverse(self):
+        """(A, e): the Gram inverse is A / e with A an integer matrix."""
+        inv = invert_matrix(self.gram)
+        e = math.lcm(1, *(x.denominator for r in inv for x in r))
+        return tuple(tuple(x.numerator * (e // x.denominator) for x in r) for r in inv), e
 
     @cached_property
     def dual(self):
         """Basis of the dual lattice in the same span: <d_i, b_j> = delta_ij."""
         if self.rank == 0:
             return self
-        ginv = invert_matrix(self.gram)
-        rows = tuple(
-            tuple(_dot(grow, col) for col in zip(*self.rows)) for grow in ginv
+        a, e = self._gram_inverse
+        den = e * self._frame.d
+        cols = tuple(zip(*self._frame.rows))
+        return LatticeBasis(
+            tuple(tuple(Fraction(sum(map(mul, arow, col)), den) for col in cols) for arow in a),
+            ambient=self.ambient,
         )
-        return LatticeBasis(rows, ambient=self.ambient)
 
     def vector(self, coeffs):
         """The exact lattice vector with the given integer coefficients.
@@ -116,13 +206,19 @@ class LatticeBasis:
         """
         if len(coeffs) != self.rank:
             raise ValueError("coefficient count must equal the rank")
-        out = [ZERO] * self.ambient
-        for c, row in zip(coeffs, self.rows):
+        f = self._frame
+        out = [0] * self.ambient
+        for c, row in zip(coeffs, f.rows):
             k = as_integer(c)
             if k:
-                for j, x in enumerate(row):
-                    out[j] += k * x
-        return tuple(out)
+                out = [a + k * b for a, b in zip(out, row)]
+        if not any(out):
+            return self._origin
+        return tuple(_fraction(x, f.d) for x in out)
+
+    @cached_property
+    def _origin(self):
+        return (ZERO,) * self.ambient
 
     def scaled(self, factor):
         f = factor if isinstance(factor, Fraction) else Fraction(factor)
@@ -140,21 +236,6 @@ class GramSchmidt:
     orthogonal: tuple  # rows b*_i
     mu: tuple          # mu[i][j] for j < i
     sqnorms: tuple     # ||b*_i||^2
-
-
-def _gram_schmidt(rows):
-    ortho, mu, sq = [], [], []
-    for b in rows:
-        coeffs = []
-        cur = tuple(b)
-        for w, s in zip(ortho, sq):
-            m = _dot(b, w) / s if s else ZERO
-            coeffs.append(m)
-            cur = _sub_scaled(cur, w, m)
-        ortho.append(cur)
-        mu.append(tuple(coeffs))
-        sq.append(_dot(cur, cur))
-    return GramSchmidt(tuple(ortho), tuple(mu), tuple(sq))
 
 
 def invert_matrix(mat):
@@ -176,20 +257,21 @@ def invert_matrix(mat):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve_linear(mat, rhs):
-    """Exact solution x of x . mat = rhs for square mat (rows convention)."""
-    inv = invert_matrix(mat)
-    cols = list(zip(*inv))
-    return tuple(_dot(rhs, col) for col in cols)
-
-
 def _span_coefficients(basis, vector):
-    """Real coefficients x with x.B equal to the projection of vector onto span(B)."""
+    """Real coefficients x with x.B equal to the projection of vector onto span(B).
+
+    x = <v, B> G^-1 with G the Gram matrix; over the frame, <v, b_i> is
+    <V, R_i> / (L d) for V = L v, and G^-1 = A / e.
+    """
     v = as_fraction_vector(vector, basis.ambient)
     if basis.rank == 0:
         return ()
-    rhs = tuple(_dot(v, row) for row in basis.rows)
-    return solve_linear(basis.gram, rhs)
+    f = basis._frame
+    big, vi = _clear(v, f.d)
+    rhs = [sum(map(mul, vi, row)) for row in f.rows]
+    a, e = basis._gram_inverse
+    den = big * f.d * e
+    return tuple(Fraction(sum(map(mul, rhs, col)), den) for col in zip(*a))
 
 
 def lattice_coefficients(basis, vector):
@@ -205,10 +287,12 @@ def lattice_coefficients(basis, vector):
 def project_away_from_prefix(basis, k, vector):
     """Project vector orthogonally to span(b_1..b_k)."""
     v = as_fraction_vector(vector, basis.ambient)
-    gs = basis.gram_schmidt
-    for w, s in zip(gs.orthogonal[:k], gs.sqnorms[:k]):
-        v = _sub_scaled(v, w, _dot(v, w) / s)
-    return v
+    if k == 0:
+        return v
+    f = basis._frame
+    big, vi = _clear(v, f.d)
+    den = big * f.dets[k - 1]
+    return tuple(Fraction(x, den) for x in f.project(k, vi))
 
 
 def project_onto_prefix(basis, k, vector):
@@ -247,25 +331,37 @@ def _babai_prefix(basis, k, target):
 
     The prefix shares its Gram-Schmidt data with the full basis, and only
     the components of the target inside the prefix span influence the
-    rounding, so no explicit projection is needed.
+    rounding, so no explicit projection is needed. With T = L t and
+    s = L / d, the coordinate at row i is <T, W_i> / (s D_i), rounded half
+    to even, and the residual update is T -= c s R_i.
     """
-    gs = basis.gram_schmidt
+    f = basis._frame
+    big, t = _clear(target, f.d)
+    s = big // f.d
     coeffs = [0] * k
-    residual = target
     for i in range(k - 1, -1, -1):
-        c = round(_dot(residual, gs.orthogonal[i]) / gs.sqnorms[i])
-        coeffs[i] = c
+        c = _round_half_even(sum(map(mul, t, f.w[i])), s * f.dets[i])
         if c:
-            residual = _sub_scaled(residual, basis.rows[i], c)
+            coeffs[i] = c
+            step = c * s
+            t = [a - step * b for a, b in zip(t, f.rows[i])]
     return tuple(coeffs)
 
 
 def sqnorm(v):
-    return _dot(v, v)
+    """Exact squared norm of a vector of ints and Fractions, as a Fraction."""
+    d = math.lcm(1, *(x.denominator for x in v))
+    return Fraction(sum((x.numerator * (d // x.denominator)) ** 2 for x in v), d * d)
 
 
 def sqdist(u, v):
-    return sqnorm(tuple(a - b for a, b in zip(u, v)))
+    """Exact squared distance of two vectors of ints and Fractions, as a Fraction."""
+    d = math.lcm(1, *(x.denominator for x in u), *(x.denominator for x in v))
+    return Fraction(
+        sum((a.numerator * (d // a.denominator) - b.numerator * (d // b.denominator)) ** 2
+            for a, b in zip(u, v)),
+        d * d,
+    )
 
 
 def parse_basis(text):

@@ -1,4 +1,5 @@
-"""Shared helpers: a brute-force closest-vector oracle over a coefficient box."""
+"""Shared helpers: a brute-force closest-vector oracle over a coefficient box,
+and rational reference routines for the integer Gram-Schmidt frame."""
 
 import itertools
 from fractions import Fraction
@@ -33,3 +34,56 @@ def box_cvp(basis, target, bound):
 
 def frac_vector(ints, den):
     return tuple(Fraction(int(v), den) for v in ints)
+
+
+# Rational reference routines: Gram-Schmidt, nearest plane and projection
+# computed step by step in Fraction arithmetic, as the library did before it
+# moved onto its fraction-free integer frame.
+
+def _dot(u, v):
+    acc = Fraction(0)
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
+
+
+def _sub_scaled(u, v, c):
+    return tuple(a - c * b for a, b in zip(u, v))
+
+
+def reference_gram_schmidt(rows):
+    """(orthogonal rows, mu, squared norms) of the rows."""
+    ortho, mu, sq = [], [], []
+    for b in rows:
+        coeffs = []
+        cur = tuple(b)
+        for w, s in zip(ortho, sq):
+            m = _dot(b, w) / s if s else Fraction(0)
+            coeffs.append(m)
+            cur = _sub_scaled(cur, w, m)
+        ortho.append(cur)
+        mu.append(tuple(coeffs))
+        sq.append(_dot(cur, cur))
+    return tuple(ortho), tuple(mu), tuple(sq)
+
+
+def reference_babai_prefix(rows, k, target):
+    """Nearest-plane coefficients over the first k rows, ties to even."""
+    ortho, _, sq = reference_gram_schmidt(rows)
+    coeffs = [0] * k
+    residual = tuple(Fraction(x) for x in target)
+    for i in range(k - 1, -1, -1):
+        c = round(_dot(residual, ortho[i]) / sq[i])
+        coeffs[i] = c
+        if c:
+            residual = _sub_scaled(residual, rows[i], c)
+    return tuple(coeffs)
+
+
+def reference_project_away(rows, k, vector):
+    """vector projected orthogonally to the span of the first k rows."""
+    ortho, _, sq = reference_gram_schmidt(rows)
+    v = tuple(Fraction(x) for x in vector)
+    for w, s in zip(ortho[:k], sq[:k]):
+        v = _sub_scaled(v, w, _dot(v, w) / s)
+    return v

@@ -1,8 +1,10 @@
 """Exact rational basis layer: Gram-Schmidt, duals, projections, Babai."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from latgauss.enumeration import closest_vector, enumerate_ball
 from latgauss.generators import checkerboard, random_integer
 from latgauss.lattice import (
     LatticeBasis,
+    _babai_prefix,
     _span_coefficients,
     format_basis,
     invert_matrix,
@@ -21,10 +24,11 @@ from latgauss.lattice import (
     project_away_from_prefix,
     project_lattice,
     project_onto_prefix,
-    solve_linear,
     sqdist,
     sqnorm,
 )
+
+from conftest import reference_babai_prefix, reference_gram_schmidt, reference_project_away
 
 SEEDS = (11, 12, 13, 14, 15)
 
@@ -49,13 +53,27 @@ def test_gram_schmidt_reconstructs_and_orthogonalizes(seed):
         assert sqnorm(gs.orthogonal[i]) == gs.sqnorms[i]
 
 
+def leibniz_det(mat):
+    """Determinant by the Leibniz permutation sum, independent of any elimination."""
+    n = len(mat)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod((mat[i][perm[i]] for i in range(n)), start=1)
+    return total
+
+
 def test_gram_schmidt_norms_multiply_to_gram_determinant():
-    for seed in SEEDS:
-        basis = random_integer(3, seed=seed)
-        prod = Fraction(1)
-        for s in basis.gram_schmidt.sqnorms:
-            prod *= s
-        assert prod == basis.gram_det
+    bases = [random_integer(n, seed=seed) for n in (1, 2, 3, 4) for seed in SEEDS[:2]]
+    bases += [
+        LatticeBasis([(Fraction(1, 3), Fraction(1, 2)), (Fraction(0), Fraction(5, 7))]),
+        LatticeBasis([(Fraction(2, 5), 1, Fraction(-1, 4)), (0, Fraction(3, 8), 2)]),
+        random_integer(4, seed=21).scaled(Fraction(3, 16)),
+    ]
+    for basis in bases:
+        want = leibniz_det(basis.gram)
+        assert basis.gram_det == want
+        assert math.prod(basis.gram_schmidt.sqnorms, start=Fraction(1)) == want
 
 
 def test_gram_schmidt_handles_rational_rows():
@@ -191,10 +209,11 @@ def test_invert_and_solve_are_exact():
     for i in range(2):
         for j in range(2):
             assert dot(mat[i], tuple(col[j] for col in inv)) == (1 if i == j else 0)
-    rhs = (Fraction(3), Fraction(5))
-    x = solve_linear(mat, rhs)
-    for j in range(2):
-        assert sum(x[i] * mat[i][j] for i in range(2)) == rhs[j]
+    # x . B = v for a vector v inside the span of a rational basis
+    basis = LatticeBasis([(Fraction(2, 3), 1, 0), (Fraction(7, 2), 4, Fraction(1, 5))])
+    want = (Fraction(3, 7), Fraction(-5, 2))
+    v = tuple(want[0] * a + want[1] * b for a, b in zip(*basis.rows))
+    assert _span_coefficients(basis, v) == want
     with pytest.raises(ValueError):
         invert_matrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
 
@@ -234,3 +253,95 @@ def test_non_finite_inputs_fail_at_the_boundary(bad):
     adv = generate_advice(basis, 1e-3, 20, seed=0)
     with pytest.raises(ValueError, match="must be finite"):
         adv.f([bad, 0, 0])
+
+
+@st.composite
+def rational_cases(draw):
+    """(rows, target): a rational basis of rank <= 6 with denominators 1-16
+    and a target with coordinates up to 1e15, or with a planted exact tie
+    t = b_0 / 2 + (integer combination of the other rows)."""
+    rank = draw(st.integers(1, 6))
+    ambient = draw(st.integers(rank, 6))
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 16))
+    rows = [tuple(draw(entry) for _ in range(ambient)) for _ in range(rank)]
+    if draw(st.booleans()):
+        ks = [Fraction(1, 2)] + [draw(st.integers(-3, 3)) for _ in range(rank - 1)]
+        target = tuple(sum((k * r[j] for k, r in zip(ks, rows)), Fraction(0))
+                       for j in range(ambient))
+    else:
+        coord = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 16))
+        target = tuple(draw(coord) for _ in range(ambient))
+    return rows, target
+
+
+def _ball_reference(rows, target, coeffs_ref):
+    """(radius, {coeffs: sqdist}): a rational radius just above the Babai
+    distance and the ball around the target at that radius, by brute force
+    over a coefficient box around the Babai coefficients; None when the box
+    is too big to scan. A point y inside the ball has
+    |x_i - x_t,i| <= r_span ||d_i|| for the dual vectors d_i, where r_span^2
+    is r^2 less the target's off-span square; the float box gets a margin
+    of one on each side."""
+    m = len(target)
+    near = [sum((c * r[j] for c, r in zip(coeffs_ref, rows)), Fraction(0)) for j in range(m)]
+    dist = sum(((a - y) ** 2 for a, y in zip(target, near)), Fraction(0))
+    q = math.isqrt(math.ceil(dist)) + 1
+    radius = Fraction(math.isqrt(math.ceil(dist * q * q)) + 1, q)
+    perp = sum((x * x for x in reference_project_away(rows, len(rows), target)), Fraction(0))
+    pinv = np.linalg.pinv(np.array([[float(x) for x in r] for r in rows]))
+    center = np.array([float(a - y) for a, y in zip(target, near)]) @ pinv
+    width = math.sqrt(float(radius * radius - perp)) * np.linalg.norm(pinv, axis=0)
+    lo = [math.floor(c - w) - 1 for c, w in zip(center, width)]
+    hi = [math.ceil(c + w) + 1 for c, w in zip(center, width)]
+    if math.prod(z - a + 1 for a, z in zip(lo, hi)) > 4_000:
+        return None
+    found = {}
+    for off in itertools.product(*(range(a, z + 1) for a, z in zip(lo, hi))):
+        x = tuple(c + o for c, o in zip(coeffs_ref, off))
+        y = [sum((c * r[j] for c, r in zip(x, rows)), Fraction(0)) for j in range(m)]
+        sq = sum(((a - v) ** 2 for a, v in zip(target, y)), Fraction(0))
+        if sq <= radius * radius:
+            found[x] = sq
+    return radius, found
+
+
+@given(rational_cases())
+def test_frame_matches_the_rational_reference(case):
+    rows, target = case
+    ortho, mu, sq = reference_gram_schmidt(rows)
+    if any(s == 0 for s in sq):
+        with pytest.raises(ValueError, match="dependent"):
+            LatticeBasis(rows)
+        return
+    basis = LatticeBasis(rows)
+    # repr pins the Fraction type of every entry, not only its value
+    assert repr(basis.gram_schmidt) == repr(type(basis.gram_schmidt)(ortho, mu, sq))
+    assert basis.gram_det == math.prod(sq, start=Fraction(1))
+    n = basis.rank
+    for k in range(n + 1):
+        assert _babai_prefix(basis, k, target) == reference_babai_prefix(rows, k, target)
+        assert (repr(project_away_from_prefix(basis, k, target))
+                == repr(reference_project_away(rows, k, target)))
+    vec, coeffs = nearest_plane(basis, target)
+    want = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                 for j in range(len(target)))
+    assert repr(vec) == repr(want)
+    sq_t = sum((x * x for x in target), Fraction(0))
+    assert repr(sqnorm(target)) == repr(sq_t)
+    dist = sum(((a - b) ** 2 for a, b in zip(target, want)), Fraction(0))
+    assert repr(sqdist(target, vec)) == repr(dist)
+    if n <= 3:
+        # the search's float slack is relative to the whole bound, off-span
+        # square included, so a centre far off the span is checked through
+        # its in-span part (same Babai coefficients)
+        off = reference_project_away(rows, n, target)
+        center = target
+        if sum((x * x for x in off), Fraction(0)) > 1:
+            center = tuple(a - b for a, b in zip(target, off))
+        ref = _ball_reference(rows, center, coeffs)
+        if ref is not None:
+            radius, want_ball = ref
+            ball = enumerate_ball(basis, center, radius)
+            got = {tuple(int(c) for c in ball.coeffs[i]): ball.exact_sqdist(i)
+                   for i in range(len(ball))}
+            assert got == want_ball
