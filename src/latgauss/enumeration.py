@@ -141,7 +141,7 @@ def _prepare(basis, center):
     bstar2 = [det * k * k / f.det(i - 1) for i, det in enumerate(f.dets)]
     tau = [sum(map(mul, center_int, w)) / (k * det) for w, det in zip(f.w, f.dets)]
     perp = 0.0
-    if n < basis.ambient:
+    if n < basis.ambient:  # a full-rank basis spans every centre
         perp = sum(map(mul, center_int, f.project(n, center_int))) / f.det(n - 1)
     return rows_int, center_int, d, f.float_mu, bstar2, tau, perp
 

@@ -37,8 +37,8 @@ def frac_vector(ints, den):
 
 
 # Rational reference routines: Gram-Schmidt, nearest plane and projection
-# computed step by step in Fraction arithmetic, as the library did before it
-# moved onto its fraction-free integer frame.
+# computed step by step in Fraction arithmetic, independently of the
+# library's fraction-free integer frame.
 
 def _dot(u, v):
     acc = Fraction(0)
