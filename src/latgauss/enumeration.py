@@ -6,10 +6,11 @@ exact nearest-plane residual t - y, so float work only sees a small centre
 whatever the size of t. The search walks coefficient space depth-first in
 Schnorr-Euchner zigzag order using float64 Gram-Schmidt data, with a small
 relative slack on the pruning bound so rounding can only over-include; the
-bound stays fixed for a ball and shrinks to each candidate for a nearest-point
-query. Every candidate is scored as an exact integer after denominators are
-cleared and cut at the exact squared radius, then y's coefficients are added
-back, which keeps the lexicographic order. The returned point sets, shortest
+bound is the in-span part of the squared radius (the centre's off-span square
+is taken off exactly), stays fixed for a ball and shrinks to each candidate
+for a nearest-point query. Every candidate is scored as an exact integer
+after denominators are cleared and cut at the exact squared radius, then y's
+coefficients are added back, which keeps the lexicographic order. The returned point sets, shortest
 vectors and closest vectors are therefore exact. A node budget guards against
 runaway trees.
 """
@@ -56,18 +57,17 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _search(mu, bstar2, tau, const, bound, budget, emit):
+def _search(mu, bstar2, tau, bound, budget, emit):
     """DFS over coefficient space.
 
     mu[i][j] (j < i) are float Gram-Schmidt coefficients, bstar2 the squared
-    orthogonal norms, tau the center's Gram-Schmidt coordinates, const an
-    additive squared offset (off-span component of the center). emit is
-    called with (coeff list, float sqdist) for complete assignments inside
-    bound[0] and may tighten bound[0] in place. Returns the node count.
+    orthogonal norms, tau the center's Gram-Schmidt coordinates. emit is
+    called with (coeff list, float in-span sqdist) for complete assignments
+    inside bound[0] and may tighten bound[0] in place. Returns the node count.
     """
     n = len(bstar2)
     if n == 0:
-        emit([], const)
+        emit([], 0.0)
         return 0
     x = [0] * n
     x0 = [0] * n
@@ -75,7 +75,6 @@ def _search(mu, bstar2, tau, const, bound, budget, emit):
     off = [0] * n
     center = [0.0] * n
     part = [0.0] * (n + 1)
-    part[n] = const
     nodes = 0
 
     def reset(i):
@@ -131,7 +130,8 @@ def _prepare(basis, center):
 
     The b*_i are orthogonal, so the centre's coordinates need no running
     residual, and its off-span square is <C, P> / D_{n-1} for the frame
-    projection P of the integer centre C.
+    projection P of the integer centre C, kept exact so that the float
+    search only sees the in-span part of the bound.
     """
     f = basis._frame
     n = basis.rank
@@ -140,9 +140,9 @@ def _prepare(basis, center):
     rows_int = f.rows if k == 1 else tuple(tuple(x * k for x in r) for r in f.rows)
     bstar2 = [det * k * k / f.det(i - 1) for i, det in enumerate(f.dets)]
     tau = [sum(map(mul, center_int, w)) / (k * det) for w, det in zip(f.w, f.dets)]
-    perp = 0.0
+    perp = 0
     if n < basis.ambient:  # a full-rank basis spans every centre
-        perp = sum(map(mul, center_int, f.project(n, center_int))) / f.det(n - 1)
+        perp = Fraction(sum(map(mul, center_int, f.project(n, center_int))), f.det(n - 1))
     return rows_int, center_int, d, f.float_mu, bstar2, tau, perp
 
 
@@ -233,9 +233,12 @@ def _points_within(basis, center, sq_radius, nearest=False, nonzero=False):
         residual = tuple(a - b for a, b in zip(center, near))
     if sq_radius is None:
         sq_radius = sqnorm(residual)
-    rows_int, center_int, d, mu, bstar2, tau, perp_f = _prepare(basis, residual)
+    rows_int, center_int, d, mu, bstar2, tau, perp = _prepare(basis, residual)
     r2 = sq_radius * d * d
-    bound = [float(r2) * (1.0 + SLACK) + ABS_SLACK]
+    # the slack scales with the in-span radius only: a centre far off a
+    # lower-rank span would otherwise widen the search by sqrt(SLACK) times
+    # its off-span distance
+    bound = [float(r2 - perp) * (1.0 + SLACK) + ABS_SLACK]
     found = array("q")
 
     def emit(x, p):
@@ -245,7 +248,7 @@ def _points_within(basis, center, sq_radius, nearest=False, nonzero=False):
         if nearest and p < bound[0]:
             bound[0] = p * (1.0 + SLACK) + ABS_SLACK
 
-    nodes = _search(mu, bstar2, tau, perp_f, bound, budget, emit)
+    nodes = _search(mu, bstar2, tau, bound, budget, emit)
     # a flat int64 buffer holds big balls at 8 bytes a coefficient; a rank-0
     # search emits the origin once
     rows = len(found) // n if n else 1

@@ -1,18 +1,27 @@
 """Bounded-distance decoder: planning, fit/decode, persistence, the guard."""
 
+import contextlib
 import hashlib
+import io
 import math
+import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latgauss.decoder import (
+    _WRITE_CHUNK_ROWS,
     EXACT,
     GUARD,
     BddDecoder,
     FrameAbort,
+    _write_rows,
     bdd_param_plan,
     decoding_radius,
     iteration_count,
@@ -310,6 +319,89 @@ def test_save_load_save_gives_identical_bytes(tmp_path):
     dec.save(first)
     BddDecoder.load(first).save(second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_save_load_save_is_identical_across_several_chunks(tmp_path):
+    count = 3 * _WRITE_CHUNK_ROWS + 5
+    _, dec = fitted(n=2, seed=19, n_advice=count)
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    dec.save(first)
+    back = BddDecoder.load(first)
+    back.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert np.array_equal(back.advice_.coeffs, dec.advice_.coeffs)
+
+
+INT64_EDGES = (-2**63, 2**63 - 1, 0, 9, -9, 10, -10, 99, -99)
+
+
+@given(st.data())
+def test_write_rows_matches_the_per_row_reference(data):
+    width = data.draw(st.integers(1, 8))
+    count = data.draw(st.sampled_from(
+        (1, _WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1)))
+    value = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-2**63, 2**63 - 1))
+    rows = data.draw(hnp.arrays(np.int64, (count, width), elements=value, fill=value))
+    fh = io.StringIO()
+    _write_rows(fh, rows)
+    assert fh.getvalue() == "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
+
+
+def _small_decoder_text():
+    _, dec = fitted(n=2, seed=17, n_advice=40)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decoder.txt"
+        dec.save(path)
+        return path.read_text()
+
+
+SMALL_DECODER_TEXT = _small_decoder_text()
+
+
+@st.composite
+def mutated_decoder_texts(draw):
+    """The small decoder file truncated at a byte, with one token replaced by
+    a drawn string, or with one line duplicated or deleted."""
+    text = SMALL_DECODER_TEXT
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(("truncate", "token", "duplicate", "delete")))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    else:
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(st.one_of(
+            st.text(st.characters(codec="ascii"), max_size=12),
+            st.integers(-2**70, 2**70).map(str),
+            st.fractions(max_denominator=2**40).map(str),
+        ))
+        lines[i] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@given(mutated_decoder_texts())
+def test_load_of_a_mutated_file_rejects_it_or_roundtrips(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "decoder.txt", Path(tmp) / "again.txt"
+        path.write_text(text, encoding="ascii")
+        try:
+            dec = BddDecoder.load(path)
+        except (ValueError, FrameAbort):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["decode", "--advice", str(path), "--target", "0 0"])
+            assert code == 2 and err.getvalue().startswith("error:")
+            return
+        dec.save(again)
+        back = BddDecoder.load(again)
+    assert np.array_equal(back.advice_.coeffs, dec.advice_.coeffs)
+    assert back.frame_ == dec.frame_
+    assert back.scale_ == dec.scale_
 
 
 def test_saved_decoder_file_is_pinned(tmp_path):

@@ -331,17 +331,27 @@ def test_frame_matches_the_rational_reference(case):
     dist = sum(((a - b) ** 2 for a, b in zip(target, want)), Fraction(0))
     assert repr(sqdist(target, vec)) == repr(dist)
     if n <= 3:
-        # the search's float slack is relative to the whole bound, off-span
-        # square included, so a centre far off the span is checked through
-        # its in-span part (same Babai coefficients)
-        off = reference_project_away(rows, n, target)
-        center = target
-        if sum((x * x for x in off), Fraction(0)) > 1:
-            center = tuple(a - b for a, b in zip(target, off))
-        ref = _ball_reference(rows, center, coeffs)
+        ref = _ball_reference(rows, target, coeffs)
         if ref is not None:
             radius, want_ball = ref
-            ball = enumerate_ball(basis, center, radius)
-            got = {tuple(int(c) for c in ball.coeffs[i]): ball.exact_sqdist(i)
-                   for i in range(len(ball))}
-            assert got == want_ball
+            assert _ball_dict(enumerate_ball(basis, target, radius)) == want_ball
+
+
+def _ball_dict(ball):
+    return {tuple(int(c) for c in ball.coeffs[i]): ball.exact_sqdist(i)
+            for i in range(len(ball))}
+
+
+def test_ball_far_off_a_lower_rank_span_is_searched_in_span(monkeypatch):
+    # the centre's off-span square is about 8.5e18; a float slack taken on the
+    # whole bound widened the in-span search to millions of nodes
+    monkeypatch.setenv("LATGAUSS_BUDGET", "2000000")
+    rows = [(-1, -1, Fraction(2, 7), Fraction(-1, 4)),
+            (Fraction(1, 3), Fraction(7, 9), Fraction(3, 11), 0)]
+    target = (-93446, -6654719, Fraction(9383698597, 2), Fraction(472517, 10))
+    basis = LatticeBasis(rows)
+    _, coeffs = nearest_plane(basis, target)
+    radius, want_ball = _ball_reference(rows, target, coeffs)
+    ball = enumerate_ball(basis, target, radius)
+    assert want_ball and _ball_dict(ball) == want_ball
+    assert ball.nodes < 100
