@@ -198,11 +198,9 @@ def _write_rows(fh, coeffs):
             digits += mag >= p
         ends = np.cumsum(digits + neg + 1)
         buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
-        pos = ends - 2
-        # a nonnegative token's sign slot is the separator before it (for the
-        # first token, the last byte), which the newline pass then rewrites
-        buf[pos - digits] = np.where(neg, ord("-"), ord(" "))
         buf[ends[width - 1::width] - 1] = ord("\n")
+        pos = ends - 2
+        buf[(pos - digits)[neg]] = ord("-")
         while True:
             quot = mag // 10
             buf[pos] = mag - quot * 10 + ord("0")

@@ -10,9 +10,9 @@ bound is the in-span part of the squared radius (the centre's off-span square
 is taken off exactly), stays fixed for a ball and shrinks to each candidate
 for a nearest-point query. Every candidate is scored as an exact integer
 after denominators are cleared and cut at the exact squared radius, then y's
-coefficients are added back, which keeps the lexicographic order. The returned point sets, shortest
-vectors and closest vectors are therefore exact. A node budget guards against
-runaway trees.
+coefficients are added back, which keeps the lexicographic order. The
+returned point sets, shortest vectors and closest vectors are therefore exact.
+A node budget guards against runaway trees.
 """
 
 from __future__ import annotations
