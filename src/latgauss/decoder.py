@@ -23,9 +23,10 @@ from ._estimator import ParamMixin
 from ._validation import check_count, check_eps, parse_fraction
 from .advice import GaussianAdvice, advice_count, default_denom_floor, generate_advice
 from .gaussian import decoding_width, smoothing_parameter
+from .lattice import LatticeBasis, format_basis, parse_basis, sqnorm
 # lattice_coefficients is no longer called here; it stays importable from this
 # module because the benchmark's tracer self-test looks it up here
-from .lattice import LatticeBasis, format_basis, lattice_coefficients, parse_basis  # noqa: F401
+from .lattice import lattice_coefficients  # noqa: F401
 
 EXACT = "exact-claimed"
 GUARD = "denominator-guard"
@@ -103,69 +104,31 @@ class DecodeResult:
     note: str = ""
 
 
-def _sqnorm_exact(gram, ints):
-    acc = Fraction(0)
-    for i, ci in enumerate(ints):
-        if ci:
-            acc += ci * sum(gram[i][j] * cj for j, cj in enumerate(ints) if cj)
-    return acc
-
-
-def _eliminate(reduced, row):
-    """Reduce row against the echelon rows; (pivot, row) if independent."""
-    for piv, ref in reduced:
-        if row[piv]:
-            f = row[piv] / ref[piv]
-            row = [a - f * b for a, b in zip(row, ref)]
-    for j, a in enumerate(row):
-        if a:
-            return j, row
-    return None
-
-
 def _frame_indices(advice):
     """First rank linearly independent draws with norm <= sqrt(rank).
 
-    The norm cut is checked exactly on the integer coefficient records; a
+    The norm cut is checked exactly on the draw's coordinates, and
+    independence by building the basis of the chosen coefficient rows; a
     float prescreen only decides which rows are worth the exact check.
     """
     n = advice.basis.rank
-    gram = advice.basis.dual.gram
     screen = float(n) * (1.0 + 1e-9) + 1e-9
     sq = np.einsum("ij,ij->i", advice.vectors, advice.vectors)
-    reduced, chosen = [], []
-    for i in np.flatnonzero(sq <= screen):
-        ints = [int(c) for c in advice.coeffs[i]]
-        if _sqnorm_exact(gram, ints) > n:
+    chosen = []
+    for i in np.flatnonzero(sq <= screen).tolist():
+        if sqnorm(advice.dual_vector(i)) > n:
             continue
-        got = _eliminate(reduced, [Fraction(c) for c in ints])
-        if got is None:
+        try:
+            LatticeBasis(advice.coeffs[chosen + [i]])
+        except ValueError:
             continue
-        reduced.append(got)
-        chosen.append(int(i))
+        chosen.append(i)
         if len(chosen) == n:
             return chosen
     raise FrameAbort(
         f"advice holds only {len(chosen)} of the {n} short independent vectors "
         "needed for the rounding frame"
     )
-
-
-def _frame_matrix(basis, frame):
-    """Coefficients of the frame rows over basis: (integer rows, denominator d).
-
-    Row j holds d * <u_j, b*_k> over the dual basis b*_k, so
-    sum_k num[j][k] b_k = d u_j; that identity is checked exactly, and a
-    frame row outside the span of the basis raises FrameAbort.
-    """
-    coeffs = [[sum(a * b for a, b in zip(u, dk)) for dk in basis.dual.rows]
-              for u in frame.rows]
-    den = math.lcm(*(c.denominator for row in coeffs for c in row))
-    num = tuple(tuple(int(c * den) for c in row) for row in coeffs)
-    for row, u in zip(num, frame.rows):
-        if basis.vector(row) != tuple(den * x for x in u):
-            raise FrameAbort("frame row lies outside the span of the basis")
-    return num, den
 
 
 # rows of the advice block formatted per numpy pass; at rank 8 the
@@ -276,22 +239,19 @@ class BddDecoder(ParamMixin):
     def _set_state(self, basis, scale, advice, idx, frame=None, eta=None):
         """Fitted state from the advice (drawn on basis scaled by scale).
 
-        idx picks the frame draws. frame defaults to the dual of those draws
-        (fit); load passes the stored one. Either way every inner product
-        <w_i, u_j> must equal delta_ij exactly, so a corrupted file fails
-        loudly instead of mis-decoding quietly.
+        idx picks the frame draws, whose coefficient rows over the dual
+        basis form C. The frame is the dual of those draws, and its
+        coefficients over the basis are C^-T, the dual of the basis with
+        rows C. fit passes no frame; load passes the stored one, which must
+        equal the dual exactly (a row is in the span and biorthogonal to
+        the draws only then), so a corrupted file fails loudly instead of
+        mis-decoding quietly.
         """
-        vstar = LatticeBasis(
-            [basis.dual.vector([int(c) for c in advice.coeffs[i]]) for i in idx],
-            ambient=basis.ambient,
-        )
-        frame = vstar.dual if frame is None else LatticeBasis(frame, ambient=basis.ambient)
-        for i, w in enumerate(vstar.rows):
-            for j, u in enumerate(frame.rows):
-                if sum(a * b for a, b in zip(w, u)) != (1 if i == j else 0):
-                    raise FrameAbort(
-                        "stored frame fails the biorthogonality identity; file corrupt"
-                    )
+        draws = [[int(c) for c in advice.coeffs[i]] for i in idx]
+        vstar = LatticeBasis([basis.dual.vector(c) for c in draws], ambient=basis.ambient)
+        if frame is not None and LatticeBasis(frame, ambient=basis.ambient) != vstar.dual:
+            raise FrameAbort("stored frame is not the dual of its draws; file corrupt")
+        over_basis = LatticeBasis(draws).dual._frame
         s_eps, dmax = decoding_width(advice.eps)
         self.basis_ = basis
         self.eta_ = eta
@@ -299,8 +259,8 @@ class BddDecoder(ParamMixin):
         self.advice_ = advice
         self.vstar_indices_ = tuple(int(i) for i in idx)
         self.vstar_ = vstar
-        self.frame_ = frame
-        self._frame_num, self._frame_den = _frame_matrix(basis, frame)
+        self.frame_ = vstar.dual
+        self._frame_num, self._frame_den = over_basis.rows, over_basis.d
         self._vstar_float = advice.vectors[list(self.vstar_indices_)]
         self.iterations_ = iteration_count(basis.rank, advice.eps)
         self.radius_ = dmax * s_eps / float(scale)

@@ -31,7 +31,6 @@ from .lattice import (
     LatticeBasis,
     _clear,
     _round_half_even,
-    invert_matrix,
     nearest_plane,
     project_lattice,
     sqnorm,
@@ -331,30 +330,29 @@ def _xgcd(a, b):
 def complete_to_unimodular(a):
     """An integer matrix with determinant +-1 whose first row is a.
 
-    Requires gcd(a) = 1. Built by accumulating the 2x2 gcd column operations
-    that reduce a to e_1 and inverting exactly.
+    Requires gcd(a) = 1. The 2x2 gcd column steps that reduce a to e_1
+    multiply to a matrix C with a C = e_1, so the answer is C^-1; it is
+    built from the identity by applying the inverse of each step, in order,
+    as a row step.
     """
     a = [int(v) for v in a]
     n = len(a)
-    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(1, n):
         if a[i] == 0:
             continue
         g, u, v = _xgcd(a[0], a[i])
         p, q = a[0] // g, a[i] // g
-        for row in c:
-            r0, ri = row[0], row[i]
-            row[0] = u * r0 + v * ri
-            row[i] = -q * r0 + p * ri
+        r0, ri = m[0], m[i]
+        m[0] = [p * x + q * y for x, y in zip(r0, ri)]
+        m[i] = [u * y - v * x for x, y in zip(r0, ri)]
         a[0], a[i] = g, 0
     if a[0] == -1:
-        for row in c:
-            row[0] = -row[0]
+        m[0] = [-x for x in m[0]]
         a[0] = 1
     if a[0] != 1:
         raise ValueError("coefficient vector is not primitive")
-    inv = invert_matrix(tuple(tuple(Fraction(v) for v in row) for row in c))
-    return [[int(x) for x in row] for row in inv]
+    return m
 
 
 def _size_reduce(basis):

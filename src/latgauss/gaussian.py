@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ._validation import as_float_vector, as_fraction_vector, check_count, check_eps, check_positive
-from .enumeration import enumerate_ball, lambda1
-from .lattice import LatticeBasis, _span_coefficients, lattice_coefficients
+from .enumeration import _points_within, enumerate_ball, lambda1
+from .lattice import LatticeBasis, lattice_coefficients, project_away_from_prefix, sqnorm
 from .rng import stream
 
 _PI = math.pi
@@ -57,7 +58,10 @@ def _ball_weights(ball, s):
 
 @dataclass(frozen=True)
 class CertifiedSum:
-    """Two-sided enclosure of a Gaussian mass: lower <= true value <= upper."""
+    """Two-sided enclosure of a Gaussian mass: lower <= true value <= upper.
+
+    radius is the tail radius, measured inside the lattice span.
+    """
 
     lower: float
     upper: float
@@ -95,22 +99,16 @@ def gaussian_mass(basis, s=1.0, center=None):
         # tail of the shifted sum is bounded by the centered mass, so pin
         # that down first
         base = gaussian_mass(basis, s)
-        perp = _span_residual_sq(basis, center)
-        radius = math.sqrt(radius * radius + perp) * (1.0 + 1e-9)
-    ball = enumerate_ball(basis, tuple(-x for x in center), radius)
+    # the tail radius applies inside the span; the centre's off-span square
+    # is added exactly
+    sq_radius = Fraction(radius) ** 2 + sqnorm(project_away_from_prefix(basis, n, center))
+    ball = _points_within(basis, tuple(-x for x in center), sq_radius)
     partial = float(_ball_weights(ball, s).sum())
     if shifted:
         upper = partial + q * base.upper
     else:
         upper = partial / (1.0 - q)
     return CertifiedSum(partial, upper, len(ball), radius)
-
-
-def _span_residual_sq(basis, vec):
-    """Float squared distance from vec to the lattice span (exact arithmetic)."""
-    coeffs = _span_coefficients(basis, vec)
-    proj = [sum(c * row[j] for c, row in zip(coeffs, basis.rows)) for j in range(basis.ambient)]
-    return float(sum((a - b) ** 2 for a, b in zip(vec, proj)))
 
 
 def periodic_gaussian_interval(basis, t, s=1.0):

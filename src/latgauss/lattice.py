@@ -3,13 +3,14 @@
 A lattice is presented as a basis whose rows generate it. Every basis carries
 one fraction-free integer frame (_Frame): its rows cleared to integers over
 one common denominator, and their Gram-Schmidt data scaled to integers by the
-leading Gram determinants (Bareiss 1968; de Weger 1987). Gram-Schmidt, duals,
-projections, Babai rounding and membership run on Python integers over that
-frame, with fractions.Fraction only at the boundary, so downstream
-certificates can treat equalities and comparisons as exact. Floating point
-enters only through the cached float64 image of a basis, which the
-enumeration and Gaussian layers use for speed and always back with an exact
-check.
+leading Gram determinants (Bareiss 1968; de Weger 1987). Every exact solve
+reads that frame: Gram-Schmidt, projections and Babai rounding directly, the
+dual by back-substitution, and span coefficients and membership from the
+dual's frame. All of it runs on Python integers, with fractions.Fraction only
+at the boundary, so downstream certificates can treat equalities and
+comparisons as exact. Floating point enters only through the cached float64
+image of a basis, which the enumeration and Gaussian layers use for speed and
+always back with an exact check.
 """
 
 from __future__ import annotations
@@ -179,23 +180,29 @@ class LatticeBasis:
         )
 
     @cached_property
-    def _gram_inverse(self):
-        """(A, e): the Gram inverse is A / e with A an integer matrix."""
-        inv = invert_matrix(self.gram)
-        e = math.lcm(1, *(x.denominator for r in inv for x in r))
-        return tuple(tuple(x.numerator * (e // x.denominator) for x in r) for r in inv), e
-
-    @cached_property
     def dual(self):
-        """Basis of the dual lattice in the same span: <d_i, b_j> = delta_ij."""
-        if self.rank == 0:
+        """Basis of the dual lattice in the same span: <d_i, b_j> = delta_ij.
+
+        Back-substitution on the frame, from the last row down:
+        d_i = d W_i / D_i - sum_{j>i} mu_ji d_j with mu_ji = <R_j, W_i> / D_i.
+        Each X_j = D_{n-1} d_j is an integer vector (D_{n-1} d_j is d times
+        a row of adj(R R^T) R), so every step divides exactly.
+        """
+        n = self.rank
+        if n == 0:
             return self
-        a, e = self._gram_inverse
-        den = e * self._frame.d
-        cols = tuple(zip(*self._frame.rows))
+        f = self._frame
+        top = f.dets[-1]
+        xs = [None] * n
+        for i in range(n - 1, -1, -1):
+            acc = [f.d * top * x for x in f.w[i]]
+            for j in range(i + 1, n):
+                g = f.mu_num(j, i)
+                if g:
+                    acc = [a - g * b for a, b in zip(acc, xs[j])]
+            xs[i] = [a // f.dets[i] for a in acc]
         return LatticeBasis(
-            tuple(tuple(Fraction(sum(map(mul, arow, col)), den) for col in cols) for arow in a),
-            ambient=self.ambient,
+            tuple(tuple(_fraction(x, top) for x in r) for r in xs), ambient=self.ambient
         )
 
     def vector(self, coeffs):
@@ -238,40 +245,20 @@ class GramSchmidt:
     sqnorms: tuple     # ||b*_i||^2
 
 
-def invert_matrix(mat):
-    """Exact inverse of a square rational matrix (tuple of row tuples)."""
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def _span_coefficients(basis, vector):
     """Real coefficients x with x.B equal to the projection of vector onto span(B).
 
-    x = <v, B> G^-1 with G the Gram matrix; over the frame, <v, b_i> is
-    <V, R_i> / (L d) for V = L v, and G^-1 = A / e.
+    x_i = <v, d_i> for the dual rows d_i, which lie in the span, so this holds
+    for v off the span too. Over the dual's frame, with rows E = e D, it is
+    <V, E_i> / (L e) for V = L v.
     """
     v = as_fraction_vector(vector, basis.ambient)
     if basis.rank == 0:
         return ()
-    f = basis._frame
-    big, vi = _clear(v, f.d)
-    rhs = [sum(map(mul, vi, row)) for row in f.rows]
-    a, e = basis._gram_inverse
-    den = big * f.d * e
-    return tuple(Fraction(sum(map(mul, rhs, col)), den) for col in zip(*a))
+    f = basis.dual._frame
+    big, vi = _clear(v, 1)
+    den = big * f.d
+    return tuple(Fraction(sum(map(mul, vi, row)), den) for row in f.rows)
 
 
 def lattice_coefficients(basis, vector):

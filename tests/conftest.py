@@ -36,9 +36,9 @@ def frac_vector(ints, den):
     return tuple(Fraction(int(v), den) for v in ints)
 
 
-# Rational reference routines: Gram-Schmidt, nearest plane and projection
-# computed step by step in Fraction arithmetic, independently of the
-# library's fraction-free integer frame.
+# Rational reference routines: Gram-Schmidt, nearest plane, projection and
+# the matrix inverse computed step by step in Fraction arithmetic,
+# independently of the library's fraction-free integer frame.
 
 def _dot(u, v):
     acc = Fraction(0)
@@ -87,3 +87,21 @@ def reference_project_away(rows, k, vector):
     for w, s in zip(ortho[:k], sq[:k]):
         v = _sub_scaled(v, w, _dot(v, w) / s)
     return v
+
+
+def reference_inverse(mat):
+    """Exact inverse of a square rational matrix by Gauss-Jordan elimination."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)

@@ -21,11 +21,13 @@ from latgauss.decoder import (
     GUARD,
     BddDecoder,
     FrameAbort,
+    _frame_indices,
     _write_rows,
     bdd_param_plan,
     decoding_radius,
     iteration_count,
 )
+from latgauss.advice import GaussianAdvice
 from latgauss.cli import main
 from latgauss.enumeration import closest_vector, lambda1
 from latgauss.generators import (
@@ -37,6 +39,8 @@ from latgauss.generators import (
 from latgauss.lattice import lattice_coefficients, write_basis
 from latgauss.reductions import SparsifyReducer
 from latgauss.rng import stream
+
+from conftest import reference_inverse
 
 
 def fitted(n=3, eps=1e-3, seed=1, n_advice=3000):
@@ -311,6 +315,39 @@ def test_load_rejects_a_frame_outside_the_span(tmp_path):
     write_decoder(path, ["1 2", "1 0"], ["1"], ["frame 0", "1 1"])
     with pytest.raises(FrameAbort):
         BddDecoder.load(path)
+
+
+def test_frame_indices_skip_a_short_dependent_draw():
+    # every draw is short; the second is minus the first
+    advice = GaussianAdvice(integer_identity(2), [[1, 0], [-1, 0], [0, 1]], 1e-3, 0)
+    assert _frame_indices(advice) == [0, 2]
+
+
+@pytest.mark.parametrize("n, seed", [(2, 3), (3, 7), (4, 11)])
+def test_frame_coefficients_are_the_inverse_transpose_of_the_draws(n, seed):
+    _, dec = fitted(n=n, seed=seed, n_advice=1500)
+    draws = dec.advice_.coeffs[list(dec.vstar_indices_)].tolist()
+    inv = reference_inverse(draws)
+    want = [[inv[k][j] for k in range(n)] for j in range(n)]
+    assert dec._frame_den == math.lcm(*(x.denominator for row in want for x in row))
+    assert [[Fraction(x, dec._frame_den) for x in row] for row in dec._frame_num] == want
+
+
+def test_load_rejects_a_frame_that_names_one_draw_twice(tmp_path):
+    _, dec = fitted(n=2, seed=17, n_advice=40)
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    lines = path.read_text().splitlines()
+    pos = next(i for i, line in enumerate(lines) if line.startswith("frame "))
+    first = lines[pos].split()[1]
+    lines[pos] = f"frame {first} {first}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises((ValueError, FrameAbort)):
+        BddDecoder.load(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["decode", "--advice", str(path), "--target", "0 0"])
+    assert code == 2 and err.getvalue().startswith("error:")
 
 
 def test_save_load_save_gives_identical_bytes(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -172,14 +173,19 @@ def test_budget_env_override(monkeypatch, value):
 
 
 def test_complete_to_unimodular():
-    from latgauss.lattice import invert_matrix
-
     mat = complete_to_unimodular((6, 10, 15))
     assert mat[0] == [6, 10, 15]
-    inv = invert_matrix(tuple(tuple(Fraction(v) for v in row) for row in mat))
-    assert all(x.denominator == 1 for row in inv for x in row)
+    assert LatticeBasis(mat).gram_det == 1
     with pytest.raises(ValueError):
         complete_to_unimodular((2, 4, 6))
+
+
+@given(st.lists(st.one_of(st.integers(-1, 1), st.integers(-10**6, 10**6)),
+                min_size=1, max_size=6).filter(lambda a: math.gcd(*a) == 1))
+def test_complete_to_unimodular_on_primitive_vectors(a):
+    mat = complete_to_unimodular(a)
+    assert mat[0] == a
+    assert LatticeBasis(mat).gram_det == 1
 
 
 def test_shortest_via_promise_cvp_with_exact_solver():

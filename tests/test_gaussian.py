@@ -22,7 +22,7 @@ from latgauss.gaussian import (
     smoothing_parameter,
 )
 from latgauss.generators import checkerboard, integer_identity, random_integer
-from latgauss.lattice import LatticeBasis, lattice_coefficients
+from latgauss.lattice import LatticeBasis, lattice_coefficients, project_onto_prefix
 from latgauss.rng import stream
 
 # one-dimensional integer-lattice sums at s = 1
@@ -61,6 +61,19 @@ def test_gaussian_mass_center_outside_the_span():
     m = gaussian_mass(line, center=(Fraction(1, 2), Fraction(1, 2)))
     expect = RHO_Z_HALF * math.exp(-math.pi * 0.25)
     assert m.lower * (1 - 1e-9) <= expect <= m.upper * (1 + 1e-9)
+
+
+def test_gaussian_mass_far_off_a_lower_rank_span(monkeypatch):
+    # the centre's off-span square is about 8.5e18; a radius widened in
+    # proportion to the off-span distance searched millions of nodes
+    monkeypatch.setenv("LATGAUSS_BUDGET", "2000000")
+    basis = LatticeBasis([(-1, -1, Fraction(2, 7), Fraction(-1, 4)),
+                          (Fraction(1, 3), Fraction(7, 9), Fraction(3, 11), 0)])
+    center = (-93446, -6654719, Fraction(9383698597, 2), Fraction(472517, 10))
+    m = gaussian_mass(basis, 1.0, center)
+    in_span = gaussian_mass(basis, 1.0, project_onto_prefix(basis, 2, center))
+    assert m.points == in_span.points == 50
+    assert m.lower == 0.0 <= m.upper
 
 
 def test_gaussian_mass_rank_zero():
