@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -29,21 +29,6 @@ from .generators import generate_lattice
 from .lattice import sqdist
 from .reductions import KannanReducer, MasterReducer, PromiseReducer, SparsifyReducer
 from .rng import stream
-
-EXPERIMENTS = (
-    "decode-success",
-    "estimator-error",
-    "contraction",
-    "reduction-audit",
-    "sparsify-audit",
-    "local-maxima",
-    "smoothing-profile",
-    "density-grid",
-)
-
-_INT_KEYS = ("seed", "n_advice", "trials", "grid_steps")
-_FLOAT_KEYS = ("eps", "alpha", "tau")
-_STR_KEYS = ("experiment", "lattice")
 
 
 @dataclass
@@ -66,9 +51,17 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
 
+# every field but tolerances is one config key, cast by its declared type
+_KEYS = {
+    f.name: {"int": int, "float": float, "str": str}[f.type]
+    for f in fields(ExperimentConfig)
+    if f.name != "tolerances"
+}
+
+
 def parse_config(text):
     """ExperimentConfig from key = value lines ('#' starts a comment)."""
-    fields = {}
+    values = {}
     tols = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,37 +71,32 @@ def parse_config(text):
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("tol."):
-            tols[key[4:]] = float(value)
-        elif key in _INT_KEYS:
-            fields[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            fields[key] = float(value)
-        elif key in _STR_KEYS:
-            fields[key] = value
+            into, name, cast = tols, key[4:], float
+        elif key in _KEYS:
+            into, name, cast = values, key, _KEYS[key]
         else:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    if "experiment" not in fields:
+        if name in into:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            into[name] = cast(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    if "experiment" not in values:
         raise ValueError("config must set 'experiment'")
-    if fields["experiment"] not in EXPERIMENTS:
+    if values["experiment"] not in EXPERIMENTS:
         raise ValueError(
-            f"unknown experiment {fields['experiment']!r}; choices: {EXPERIMENTS}"
+            f"unknown experiment {values['experiment']!r}; choices: {EXPERIMENTS}"
         )
-    return ExperimentConfig(tolerances=tols, **fields)
+    return ExperimentConfig(tolerances=tols, **values)
 
 
 def _config_hash(cfg):
     """Twelve hex digits identifying the full config, tolerances included."""
-    parts = [
-        f"experiment={cfg.experiment}",
-        f"lattice={cfg.lattice}",
-        f"seed={cfg.seed}",
-        f"eps={cfg.eps!r}",
-        f"alpha={cfg.alpha!r}",
-        f"tau={cfg.tau!r}",
-        f"n_advice={cfg.n_advice}",
-        f"trials={cfg.trials}",
-        f"grid_steps={cfg.grid_steps}",
-    ]
+    parts = []
+    for name, cast in _KEYS.items():
+        value = getattr(cfg, name)
+        parts.append(f"{name}={value}" if cast is str else f"{name}={value!r}")
     parts.extend(f"tol.{k}={cfg.tolerances[k]!r}" for k in sorted(cfg.tolerances))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:12]
 
@@ -180,23 +168,22 @@ def _span_targets(basis, norms, rng):
     return (np.asarray(norms)[:, None] * dirs) @ frame
 
 
-def _exact_offsets(rng, count, basis, scale):
-    """Exact offsets in the lattice span, one tuple per row.
+def _scaled_points(basis, rows, factor):
+    """Exact points factor * (k . B), one tuple per integer row k."""
+    return [tuple(factor * x for x in basis.vector(row)) for row in rows]
 
-    Each offset is a rational combination of the basis rows with
-    coefficients scale * k/1000, k uniform in [-500, 500], so targets
-    built from them admit exact squared-distance comparisons.
+
+def _planted_target(rng, basis, scale):
+    """An exact target: a lattice point plus an offset in the lattice span.
+
+    The point's coefficients are uniform in [-3, 3]; the offset's are
+    scale * k/1000 with k uniform in [-500, 500], so targets admit exact
+    squared-distance comparisons.
     """
-    scale = Fraction(scale)
-    out = []
-    raw = rng.integers(-500, 501, size=(count, basis.rank))
-    for row in raw:
-        vec = [Fraction(0)] * basis.ambient
-        for c, b in zip(row, basis.rows):
-            q = Fraction(int(c), 1000) * scale
-            vec = [a + q * x for a, x in zip(vec, b)]
-        out.append(tuple(vec))
-    return out
+    point = basis.vector(rng.integers(-3, 4, size=basis.rank))
+    raw = rng.integers(-500, 501, size=(1, basis.rank))
+    off = _scaled_points(basis, raw, Fraction(scale) / 1000)[0]
+    return tuple(a + b for a, b in zip(point, off))
 
 
 def run_experiment(cfg):
@@ -315,10 +302,8 @@ def _run_estimator_error(cfg):
     )
 
 
-def _normalized_evaluator(cfg):
+def _normalized_evaluator(basis, eps):
     """(scaled basis, evaluator, s_eps, delta_max) at mass 1 + eps."""
-    basis = generate_lattice(cfg.lattice, cfg.seed)
-    eps = cfg.eps
     eta = smoothing_parameter(basis.dual, eps).value
     scaled = basis.scaled(Fraction(eta))
     s_eps, dmax = decoding_width(eps)
@@ -332,7 +317,9 @@ def _run_contraction(cfg):
     delta_max * s_eps the step residual ||grad f/(2 pi f) + t|| must stay
     below ||t||/4 plus the certified evaluation error; zero failures allowed.
     """
-    scaled, pg, s_eps, dmax = _normalized_evaluator(cfg)
+    scaled, pg, s_eps, dmax = _normalized_evaluator(
+        generate_lattice(cfg.lattice, cfg.seed), cfg.eps
+    )
     rng = stream(cfg.seed, 2)
     norms = dmax * s_eps * rng.random(cfg.trials) ** (1.0 / max(scaled.rank, 1))
     if cfg.trials:
@@ -375,10 +362,15 @@ def _run_reduction_audit(cfg):
     no-preprocessing variant must stay within sqrt((n+3))/2.
     """
     per_base = max(1, int(_tol(cfg, "per-base", 10)))
-    spec = generate_lattice(cfg.lattice, cfg.seed)
-    n = spec.rank
+    n = generate_lattice(cfg.lattice, cfg.seed).rank
+    # (scheme, bound on the squared ratio, what a failure exceeded)
+    schemes = (
+        ("kannan", n, "scans exceeded sqrt(n) x distance"),
+        ("master", n, "block scans exceeded sqrt(n) x distance"),
+        ("promise", Fraction(n + 3, 4), "runs exceeded sqrt(n+3)/2 x distance"),
+    )
     rows = []
-    kan_bad = mas_bad = pro_bad = 0
+    bad = {scheme: 0 for scheme, _, _ in schemes}
     dims_ok = True
     cur = None
     for trial in range(cfg.trials):
@@ -386,47 +378,27 @@ def _run_reduction_audit(cfg):
         if cur != b_idx:
             cur = b_idx
             basis = generate_lattice(cfg.lattice, cfg.seed + b_idx)
-            kr = KannanReducer(alpha=cfg.alpha).fit(basis)
-            mr = MasterReducer(g=1.0, h=0, alpha=cfg.alpha).fit(basis)
-            pr = PromiseReducer().fit(basis)
-            dims_ok &= sum(b.rank for b in mr.blocks_) == basis.rank
-        rng = stream(cfg.seed, 4, trial)
-        coeffs = [int(c) for c in rng.integers(-3, 4, size=basis.rank)]
-        off = _exact_offsets(rng, 1, basis, Fraction(3, 2))[0]
-        t = tuple(a + b for a, b in zip(basis.vector(coeffs), off))
+            reducers = {
+                "kannan": KannanReducer(alpha=cfg.alpha).fit(basis),
+                "master": MasterReducer(g=1.0, h=0, alpha=cfg.alpha).fit(basis),
+                "promise": PromiseReducer().fit(basis),
+            }
+            dims_ok &= sum(b.rank for b in reducers["master"].blocks_) == basis.rank
+        t = _planted_target(stream(cfg.seed, 4, trial), basis, Fraction(3, 2))
         _, _, opt = closest_vector(basis, t)
-        for scheme, out in (
-            ("kannan", kr.reduce(t)),
-            ("master", mr.reduce(t)),
-            ("promise", pr.reduce(t)),
-        ):
-            got = sqdist(out, t)
-            if scheme == "kannan":
-                kan_bad += not got <= n * opt
-            elif scheme == "master":
-                mas_bad += not got <= n * opt
-            else:
-                pro_bad += not 4 * got <= (n + 3) * opt
+        for scheme, bound, _ in schemes:
+            got = sqdist(reducers[scheme].reduce(t), t)
+            bad[scheme] += not got <= bound * opt
             ratio = float(got / opt) if opt else 1.0
             rows.append((trial, scheme, str(opt), str(got), ratio))
     assertions = [
-        Assertion(
-            "kannan-factor",
-            kan_bad == 0,
-            f"{kan_bad} of {cfg.trials} scans exceeded sqrt(n) x distance",
-        ),
-        Assertion(
-            "master-factor",
-            mas_bad == 0,
-            f"{mas_bad} of {cfg.trials} block scans exceeded sqrt(n) x distance",
-        ),
-        Assertion(
-            "promise-factor",
-            pro_bad == 0,
-            f"{pro_bad} of {cfg.trials} runs exceeded sqrt(n+3)/2 x distance",
-        ),
-        Assertion("block-dimension-sum", dims_ok, "block dimensions sum to the rank"),
+        Assertion(f"{scheme}-factor", bad[scheme] == 0,
+                  f"{bad[scheme]} of {cfg.trials} {wording}")
+        for scheme, _, wording in schemes
     ]
+    assertions.append(
+        Assertion("block-dimension-sum", dims_ok, "block dimensions sum to the rank")
+    )
     return ExperimentReport(
         cfg, ("trial", "scheme", "opt_sqdist", "out_sqdist", "ratio"), rows, assertions
     )
@@ -448,43 +420,33 @@ def _run_sparsify_audit(cfg):
     single = SparsifyReducer(tau=cfg.tau, trials=1, mode="oracle").fit(basis)
     best_of = SparsifyReducer(tau=cfg.tau, trials=cfg.trials, mode="oracle").fit(basis)
     rows = []
-    hits = 0
-    for j in range(singles):
-        rng = stream(cfg.seed, 5, j)
-        coeffs = [int(c) for c in rng.integers(-3, 4, size=basis.rank)]
-        off = _exact_offsets(rng, 1, basis, Fraction(1, 2))[0]
-        t = tuple(a + b for a, b in zip(basis.vector(coeffs), off))
-        _, _, opt = closest_vector(basis, t)
-        res = single.set_params(seed=cfg.seed + j).reduce(t)
-        got = sqdist(res.vector, t)
-        ok = got <= bound * opt
-        hits += ok
-        rows.append((j, "single", bool(ok), float(got / opt) if opt else 1.0))
-    rate = hits / singles
-    e2e_hits = 0
-    for j in range(runs):
-        rng = stream(cfg.seed, 6, j)
-        coeffs = [int(c) for c in rng.integers(-3, 4, size=basis.rank)]
-        off = _exact_offsets(rng, 1, basis, Fraction(1, 2))[0]
-        t = tuple(a + b for a, b in zip(basis.vector(coeffs), off))
-        _, _, opt = closest_vector(basis, t)
-        res = best_of.set_params(seed=cfg.seed + 1000 + j).reduce(t)
-        got = sqdist(res.vector, t)
-        ok = got <= bound * opt
-        e2e_hits += ok
-        rows.append((j, "best-of", bool(ok), float(got / opt) if opt else 1.0))
+    hits = {}
+    for kind, reducer, count, path, first in (
+        ("single", single, singles, 5, cfg.seed),
+        ("best-of", best_of, runs, 6, cfg.seed + 1000),
+    ):
+        hits[kind] = 0
+        for j in range(count):
+            t = _planted_target(stream(cfg.seed, path, j), basis, Fraction(1, 2))
+            _, _, opt = closest_vector(basis, t)
+            got = sqdist(reducer.set_params(seed=first + j).reduce(t).vector, t)
+            ok = got <= bound * opt
+            hits[kind] += ok
+            rows.append((j, kind, bool(ok), float(got / opt) if opt else 1.0))
+    rate = hits["single"] / singles
     need_rate = _tol(cfg, "rate", 1.0 / 400.0)
     need_e2e = _tol(cfg, "success", 0.999)
     assertions = [
         Assertion(
             "single-trial-rate",
             rate >= need_rate,
-            f"per-draw success {hits}/{singles} = {rate:.4f} (need {need_rate:.4f})",
+            f"per-draw success {hits['single']}/{singles} = {rate:.4f} "
+            f"(need {need_rate:.4f})",
         ),
         Assertion(
             "best-of-success",
-            e2e_hits >= math.ceil(need_e2e * runs),
-            f"best-of-{cfg.trials} succeeded on {e2e_hits}/{runs} runs",
+            hits["best-of"] >= math.ceil(need_e2e * runs),
+            f"best-of-{cfg.trials} succeeded on {hits['best-of']}/{runs} runs",
         ),
     ]
     return ExperimentReport(
@@ -516,7 +478,6 @@ def _run_local_maxima(cfg):
         ("f_value", val, v_bound, val - pg.f_err >= v_bound),
         ("hessian_max_eig", eig_max, h_bound, eig_max < h_bound),
     ]
-    rows = [(name, value, bound, ok) for name, value, bound, ok in checks]
     assertions = [
         Assertion("gradient-zero", checks[0][3],
                   f"||grad|| = {g_norm:.3e} vs bound {g_bound:.3e}"),
@@ -525,7 +486,7 @@ def _run_local_maxima(cfg):
         Assertion("hessian-negative-definite", checks[2][3],
                   f"max eigenvalue {eig_max:.4f} + certified {pg.hess_err:.1e} < 0"),
     ]
-    return ExperimentReport(cfg, ("quantity", "value", "bound", "ok"), rows, assertions)
+    return ExperimentReport(cfg, ("quantity", "value", "bound", "ok"), checks, assertions)
 
 
 def _run_smoothing_profile(cfg):
@@ -574,7 +535,9 @@ def _run_density_grid(cfg):
     (default 1.0) in each coordinate. Asserts lower - 2 tol.band <= f <=
     upper + certified error at every grid point.
     """
-    scaled, pg, s_eps, _ = _normalized_evaluator(cfg)
+    scaled, pg, s_eps, _ = _normalized_evaluator(
+        generate_lattice(cfg.lattice, cfg.seed), cfg.eps
+    )
     if scaled.rank < 2:
         raise ValueError("the density grid needs a lattice of rank at least 2")
     steps = cfg.grid_steps or 21
@@ -613,3 +576,5 @@ _RUNNERS = {
     "smoothing-profile": _run_smoothing_profile,
     "density-grid": _run_density_grid,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)

@@ -273,17 +273,6 @@ def test_guard_trips_on_a_huge_target():
     assert adv.clears_guard(np.zeros(3), adv.f_batch(np.zeros((1, 3))), 0.5)[0]
 
 
-def test_save_load_save_gives_identical_bytes(tmp_path):
-    # the advice rows survive a decoder file round trip byte for byte
-    dec = BddDecoder(1e-3, n_advice=80, seed=14).fit(integer_identity(3))
-    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-    dec.save(first)
-    back = BddDecoder.load(first)
-    back.save(second)
-    assert np.array_equal(back.advice_.coeffs, dec.advice_.coeffs)
-    assert first.read_bytes() == second.read_bytes()
-
-
 @pytest.mark.parametrize("rows", ["1 0\n0 x\n", "1 0\n0 1.5\n", "1 0\n0\n",
                                   "1 0\n0 99999999999999999999\n"])
 def test_load_rejects_malformed_rows(tmp_path, rows):

@@ -166,10 +166,15 @@ def test_experiment_failure_sets_the_exit_code(tmp_path, capsys):
 
 def test_experiment_rejects_bad_configs(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("experiment = decode-success\nbogus = 1\n")
-    code, _, err = run(capsys, "experiment", "--config", str(cfg))
-    assert code == 2
-    assert "error:" in err
+    for text, message in (
+        ("experiment = decode-success\nbogus = 1\n", "unknown config key"),
+        ("experiment = decode-success\nseed = abc\n", "line 2: bad value for 'seed'"),
+        ("experiment = decode-success\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
+    ):
+        cfg.write_text(text)
+        code, _, err = run(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and message in err
 
 
 def test_decode_reports_a_corrupted_frame(tmp_path, capsys):

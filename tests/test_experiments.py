@@ -39,6 +39,14 @@ def test_parse_config_rejects_unknown_and_missing_keys():
         parse_config("experiment = correlate\n")
     with pytest.raises(ValueError):
         parse_config("experiment = contraction\nbroken line\n")
+    with pytest.raises(ValueError, match="line 2: bad value for 'seed'"):
+        parse_config("experiment = contraction\nseed = abc\n")
+    with pytest.raises(ValueError, match="line 3: bad value for 'tol.band'"):
+        parse_config("experiment = contraction\n\ntol.band = wide\n")
+    with pytest.raises(ValueError, match="line 3: duplicate key 'trials'"):
+        parse_config("experiment = contraction\ntrials = 4\ntrials = 5\n")
+    with pytest.raises(ValueError, match="line 2: duplicate key 'tol.band'"):
+        parse_config("tol.band = 1\ntol.band = 2\nexperiment = contraction\n")
 
 
 def test_config_hash_changes_with_any_field():
@@ -47,6 +55,17 @@ def test_config_hash_changes_with_any_field():
     assert len(_config_hash(a)) == 12
     assert _config_hash(a) != _config_hash(b)
     assert _config_hash(a) == _config_hash(ExperimentConfig(experiment="contraction", seed=1))
+
+
+def test_config_hash_of_every_field_is_pinned():
+    # every field set away from its default, plus one tolerance; the hash is
+    # the config column of every CSV row, so its bytes must not drift
+    cfg = parse_config(
+        "experiment = density-grid\nlattice = random-integer:3\nseed = 7\neps = 0.01\n"
+        "alpha = 0.2\ntau = 1.5\nn_advice = 99\ntrials = 11\ngrid_steps = 5\n"
+        "tol.band = 2e-09\n"
+    )
+    assert _config_hash(cfg) == "4c7e17ee5a06"
 
 
 def test_every_runner_is_registered():

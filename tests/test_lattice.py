@@ -207,7 +207,7 @@ def test_scaled_rescales_rows_and_determinant():
     assert third.denominator % 3 == 0
 
 
-def test_invert_and_solve_are_exact():
+def test_span_coefficients_are_exact():
     # x . B = v for a vector v inside the span of a rational basis
     basis = LatticeBasis([(Fraction(2, 3), 1, 0), (Fraction(7, 2), 4, Fraction(1, 5))])
     want = (Fraction(3, 7), Fraction(-5, 2))
