@@ -4,8 +4,8 @@ The preprocessing stage draws vectors from the discrete Gaussian on the
 dual lattice at the smoothing width. Averaging cosines over those draws
 estimates the periodic Gaussian density of the primal lattice; the matching
 sine and outer-product averages estimate its gradient and Hessian. Every
-draw keeps its exact integer coefficient record next to the cached float
-coordinates, so membership stays exact. The decoder file written by
+draw keeps its exact integer coefficient record, and its float coordinates
+are derived from it, so membership stays exact. The decoder file written by
 BddDecoder.save is the only file format for advice; it reloads to a
 bit-identical evaluator.
 """
@@ -21,10 +21,27 @@ from .rng import stream
 _PI = math.pi
 
 # the kernel walks the targets-by-advice phase matrix in tiles of at most
-# _TILE_ROWS targets by _TILE_COLS draws, so that its four reused buffers
-# (24 bytes per entry) stay within a 2 MiB L2 cache
-_TILE_COLS = 8192
+# _TILE_ROWS targets by _TILE_COLS draws, so that its three reused buffers
+# (16 bytes per entry) stay within a 2 MiB L2 cache
+_TILE_COLS = 4096
 _TILE_ROWS = 8
+
+# what kernel_err charges for one float32 cos or sin: numpy documents them
+# within 1.5 ULP, at most 1.5 * 2^-24 for values below 1 in size
+_TRIG_ERR = 2.0 ** -23
+
+# coefficients at most this large in size are exact in float64
+_EXACT_COEFF = 2 ** 53
+
+
+def _float_vectors(basis, coeffs):
+    """Float64 coordinates of the draws with coefficient rows coeffs over
+    basis.dual: the transpose of the n x N product, column-major.
+
+    Every float view of the draws goes through this one product, so the
+    reference, the frame prescreen and the frame rows agree bit for bit.
+    """
+    return (basis.dual.float_rows.T @ coeffs.T.astype(np.float64)).T
 
 
 def default_denom_floor(eps):
@@ -48,11 +65,15 @@ class GaussianAdvice:
     equals 1 on it, and for draws at the smoothing width it concentrates
     around the true periodic Gaussian.
 
-    f, grad and hessian evaluate in float64 and are the reference. The
-    batched f_batch and step_batch reduce the phases mod 1 in float64 and
-    take cos and sin in float32, one cache-sized tile of targets by draws
-    at a time; kernel_err bounds what that adds. vectors is column-major,
-    so each coordinate of the draws is contiguous within a tile.
+    f, grad and hessian evaluate in float64 over vectors and are the
+    reference. The batched f_batch and step_batch reduce each target once:
+    u_k = <b*_k, t> mod 1 over the n dual rows b*_k, so that every phase
+    2 pi <w_i, t> is congruent mod 2 pi to the integer combination
+    sum_k c_ik 2 pi u_k. They take those sums in float64 and their cos and
+    sin in float32, one cache-sized tile of targets by draws at a time;
+    kernel_err bounds what that adds. The coefficients are kept once more
+    as a column-major float64 array, so each coefficient column is
+    contiguous within a tile.
     """
 
     def __init__(self, basis, coeffs, eps, seed):
@@ -65,15 +86,29 @@ class GaussianAdvice:
             )
         if coeffs.shape[0] == 0:
             raise ValueError("advice must hold at least one draw")
+        if coeffs.max() > _EXACT_COEFF or coeffs.min() < -_EXACT_COEFF:
+            raise ValueError("advice coefficients must be at most 2^53 in size")
         self.basis = basis
         self.coeffs = coeffs
         self.eps = check_eps(eps)
         self.seed = int(seed)
-        # the transpose of the n x N product: column-major, with no second copy
-        self.vectors = (basis.dual.float_rows.T @ coeffs.T.astype(np.float64)).T
-        wmax = float(np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors).max()))
-        self._err_const = (_PI + 4.0) * 2.0 ** -24 + len(self) * 2.0 ** -53
-        self._err_slope = 2.0 * _PI * (basis.rank + 1) * 2.0 ** -53 * wmax
+        self._coeffs_f = np.asfortranarray(coeffs, dtype=np.float64)
+        # S = max_i sum_k |c_ik| bounds every reduced phase by pi * S
+        self._coef_sum = max(
+            int(np.abs(coeffs[i:i + _TILE_COLS]).sum(axis=1).max())
+            for i in range(0, len(self), _TILE_COLS)
+        )
+        dual = basis.dual.float_rows
+        bmax = float(np.sqrt(np.einsum("ij,ij->i", dual, dual).max()))
+        phase_max = _PI * self._coef_sum
+        self._err_const = (
+            (phase_max + 2.0) * 2.0 ** -24 + _TRIG_ERR
+            + ((basis.rank + 3) * phase_max + len(self)) * 2.0 ** -53
+        )
+        self._err_slope = (
+            2.0 * _PI * self._coef_sum * (basis.rank + basis.ambient + 1)
+            * 2.0 ** -53 * bmax
+        )
 
     def __len__(self):
         return self.coeffs.shape[0]
@@ -83,6 +118,12 @@ class GaussianAdvice:
             f"GaussianAdvice(N={len(self)}, rank={self.basis.rank}, "
             f"eps={self.eps:g}, seed={self.seed})"
         )
+
+    @property
+    def vectors(self):
+        """Float64 coordinates of the draws, column-major, derived on each
+        call from the coefficients."""
+        return _float_vectors(self.basis, self.coeffs)
 
     def dual_vector(self, i):
         """Exact coordinates of the i-th draw."""
@@ -116,31 +157,46 @@ class GaussianAdvice:
     def kernel_err(self, ts):
         """Bound on |f_batch(t) - f(t)| for each row t of ts.
 
-        f(t) is the mean of cos(2 pi <w_i, t>) over the stored float64
-        vectors w_i, taken in exact arithmetic. The batched kernel departs
-        from it in these places, and cos and sin are 1-Lipschitz:
+        f(t) is the mean of cos(2 pi <w_i, t>) over the float64 vectors w_i,
+        taken in exact arithmetic. Write c_i for the integer coefficient row
+        of draw i, b*_k for the float64 dual rows, S = max_i sum_k |c_ik|,
+        B = max_k ||b*_k|| and u = 2^-53. The batched kernel departs from f
+        in these places, and cos and sin are 1-Lipschitz:
 
-        - the float64 product x = <w_i, t> errs by at most
-          rank * 2^-53 * max||w|| * ||t|| to first order, charged as
-          (rank + 1) * 2^-53 * max||w|| * ||t||; it moves the phase 2 pi x
-          by 2 pi times that, and it is the term that grows with the row;
-        - x - rint(x) is exact and leaves the phase unchanged mod 2 pi;
-        - rounding the reduced phase, at most pi in size, to float32 moves
-          it by at most pi * 2^-24;
-        - numpy's float32 cos and sin are documented within 1.5 ULP
-          (1.2 * 2^-24 measured over [-pi, pi]); 4 * 2^-24 is charged,
-          which also covers the float64 product with 2 pi (2 pi * 2^-53);
+        - w_i is the float64 product c_i B*, within rank * u * S * B of the
+          exact combination in norm, so <w_i, t> differs from
+          sum_k c_ik <b*_k, t> by at most rank * u * S * B * ||t||;
+        - each float64 product <b*_k, t> errs by at most
+          ambient * u * B * ||t||, and the integer combination of them by S
+          times that. With the first term, and one more u for second-order
+          terms, the phase 2 pi <w_i, t> moves by at most
+          2 pi * S * (rank + ambient + 1) * u * B * ||t||: the term that
+          grows with the row;
+        - r_k = <b*_k, t> - rint(<b*_k, t>) is exact, in [-1/2, 1/2], and
+          taking it leaves every phase unchanged mod 2 pi, as the c_ik are
+          integers;
+        - 2 pi r_k errs by at most 2 pi * u (the rounded constant and the
+          product), and the float64 sum x_i = sum_k c_ik 2 pi r_k by at
+          most rank * u * pi * S more, to first order: charged
+          (rank + 3) * pi * S * u in all;
+        - |x_i| <= pi * S, so rounding it to float32 moves it by at most
+          pi * S * 2^-24;
+        - numpy's float32 cos and sin are charged _TRIG_ERR = 2 * 2^-24
+          each (documented within 1.5 ULP; 1.18 * 2^-24 measured on a grid
+          over [-39 pi, 39 pi]). A further 2 * 2^-24 covers the
+          second-order terms of the float32 rounding;
         - the float64 mean of N terms of size at most 1 errs by at most
-          N * 2^-53, the bound for summing them one after another. The
-          kernel sums each tile of draws pairwise and adds the tile sums
-          in sequence, which only lowers this term, so the charge stands.
+          N * u, the bound for summing them one after another. The kernel
+          sums each tile of draws as a float64 product with ones and adds
+          the tile sums in sequence; no term passes through more than N - 1
+          additions in any order, so the charge stands.
 
         The sine sums behind step_batch carry the same error per draw, so
         the gradient -(2 pi / N) sum w_i sin(2 pi <w_i, t>) that step_batch
         uses is within 2 pi * max||w|| times this bound of its exact value.
-        At a rank-8 decoder with N = 221,049 draws the bound is about 4e-7
-        near the lattice, far below the guard floor and the O(1/sqrt(N))
-        sampling error of the estimator itself.
+        At a rank-8 decoder with N = 221,049 draws (S = 39) the bound is
+        about 7.5e-6 near the lattice, far below the guard floor 7.9e-3
+        and the 1/sqrt(N) = 2.1e-3 sampling error of the estimator itself.
         """
         ts = np.atleast_2d(np.asarray(ts, dtype=np.float64))
         return self._err_const + self._err_slope * np.hypot.reduce(ts, axis=1)
@@ -157,39 +213,45 @@ class GaussianAdvice:
         """Estimator values of the rows of ts and, when grad is set, the sums
         sum_i w_i sin(2 pi <w_i, t>); see kernel_err for the error.
 
-        The phases are taken tile by tile, every tile in the same four
-        buffers, and the cosine and sine sums accumulate in float64.
+        Each target is reduced once, to 2 pi u over the dual rows; the
+        phases are then taken tile by tile as products with the coefficient
+        columns, every tile in the same three buffers. The cosines and sines
+        are widened to float64 and summed by products with ones and with
+        the coefficient columns, and the sine sums map to ambient
+        coordinates once at the end.
         """
-        k, n = ts.shape
+        k = ts.shape[0]
         big = len(self)
+        dual = self.basis.dual.float_rows
+        u = ts @ dual.T
+        u -= np.rint(u)
+        u *= 2.0 * _PI
         rows, cols = min(k, _TILE_ROWS), min(big, _TILE_COLS)
         x_buf = np.empty(rows * cols)
-        r_buf = np.empty(rows * cols)
         p_buf = np.empty(rows * cols, dtype=np.float32)
         c_buf = np.empty(rows * cols, dtype=np.float32)
+        ones = np.ones(cols)
         sums = np.zeros(k)
-        grads = np.zeros((k, n)) if grad else None
+        sines = np.zeros((k, self.basis.rank)) if grad else None
         for r0 in range(0, k, rows):
-            block = ts[r0:r0 + rows]
+            block = u[r0:r0 + rows]
             for c0 in range(0, big, cols):
-                w = self.vectors[c0:c0 + cols]
-                shape = (block.shape[0], w.shape[0])
+                c = self._coeffs_f[c0:c0 + cols]
+                shape = (block.shape[0], c.shape[0])
                 size = shape[0] * shape[1]
                 x = x_buf[:size].reshape(shape)
-                r = r_buf[:size].reshape(shape)
                 phase = p_buf[:size].reshape(shape)
                 trig = c_buf[:size].reshape(shape)
-                np.matmul(block, w.T, out=x)
-                np.rint(x, out=r)
-                np.subtract(x, r, out=x)
-                np.multiply(x, 2.0 * _PI, out=phase, casting="unsafe")
+                np.matmul(block, c.T, out=x)
+                phase[...] = x
                 np.cos(phase, out=trig)
-                sums[r0:r0 + rows] += trig.sum(axis=1, dtype=np.float64)
+                x[...] = trig
+                sums[r0:r0 + rows] += x @ ones[:shape[1]]
                 if grad:
                     np.sin(phase, out=trig)
-                    r[...] = trig
-                    grads[r0:r0 + rows] += r @ w
-        return sums / big, grads
+                    x[...] = trig
+                    sines[r0:r0 + rows] += x @ c
+        return sums / big, (sines @ dual if grad else None)
 
     def f_batch(self, ts):
         """Estimator values of the rows of ts, within kernel_err of f."""

@@ -21,7 +21,13 @@ import numpy as np
 
 from ._estimator import ParamMixin
 from ._validation import check_count, check_eps, parse_fraction
-from .advice import GaussianAdvice, advice_count, default_denom_floor, generate_advice
+from .advice import (
+    GaussianAdvice,
+    _float_vectors,
+    advice_count,
+    default_denom_floor,
+    generate_advice,
+)
 from .gaussian import decoding_width, smoothing_parameter
 from .lattice import LatticeBasis, format_basis, parse_basis, sqnorm
 # lattice_coefficients is no longer called here; it stays importable from this
@@ -104,27 +110,35 @@ class DecodeResult:
     note: str = ""
 
 
+# draws prescreened per pass when choosing the frame, which the first few
+# dozen draws usually complete
+_SCREEN_CHUNK_ROWS = 1024
+
+
 def _frame_indices(advice):
     """First rank linearly independent draws with norm <= sqrt(rank).
 
     The norm cut is checked exactly on the draw's coordinates, and
     independence by building the basis of the chosen coefficient rows; a
-    float prescreen only decides which rows are worth the exact check.
+    float prescreen, taken one chunk of draws at a time until the frame is
+    full, only decides which rows are worth the exact check.
     """
     n = advice.basis.rank
     screen = float(n) * (1.0 + 1e-9) + 1e-9
-    sq = np.einsum("ij,ij->i", advice.vectors, advice.vectors)
     chosen = []
-    for i in np.flatnonzero(sq <= screen).tolist():
-        if sqnorm(advice.dual_vector(i)) > n:
-            continue
-        try:
-            LatticeBasis(advice.coeffs[chosen + [i]])
-        except ValueError:
-            continue
-        chosen.append(i)
-        if len(chosen) == n:
-            return chosen
+    for lo in range(0, len(advice), _SCREEN_CHUNK_ROWS):
+        w = _float_vectors(advice.basis, advice.coeffs[lo:lo + _SCREEN_CHUNK_ROWS])
+        sq = np.einsum("ij,ij->i", w, w)
+        for i in (lo + np.flatnonzero(sq <= screen)).tolist():
+            if sqnorm(advice.dual_vector(i)) > n:
+                continue
+            try:
+                LatticeBasis(advice.coeffs[chosen + [i]])
+            except ValueError:
+                continue
+            chosen.append(i)
+            if len(chosen) == n:
+                return chosen
     raise FrameAbort(
         f"advice holds only {len(chosen)} of the {n} short independent vectors "
         "needed for the rounding frame"
@@ -261,7 +275,7 @@ class BddDecoder(ParamMixin):
         self.vstar_ = vstar
         self.frame_ = vstar.dual
         self._frame_num, self._frame_den = over_basis.rows, over_basis.d
-        self._vstar_float = advice.vectors[list(self.vstar_indices_)]
+        self._vstar_float = _float_vectors(advice.basis, advice.coeffs[list(self.vstar_indices_)])
         self.iterations_ = iteration_count(basis.rank, advice.eps)
         self.radius_ = dmax * s_eps / float(scale)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latgauss.advice import (
     _TILE_COLS,
     _TILE_ROWS,
+    _TRIG_ERR,
     GaussianAdvice,
     advice_count,
     default_denom_floor,
@@ -24,7 +25,7 @@ from latgauss.generators import (
     random_dual_orthogonal,
     random_integer,
 )
-from latgauss.lattice import lattice_coefficients
+from latgauss.lattice import LatticeBasis, lattice_coefficients
 
 
 def small_advice(seed=0, count=400, eps=1e-3):
@@ -244,6 +245,66 @@ def test_tiled_kernel_matches_the_reference_at_every_tile_edge(count, n_rows):
     assert_kernel_tracks_reference(TILED[count], ts)
 
 
+def large_coefficient_advice(count):
+    """Draws on Z^6 re-expressed over the unimodular basis with rows
+    (min(i, j) + 1)_j: the lattice and the draws stay the same, but the
+    coefficient sums pass a hundred, so the kernel's phases reach past
+    100 pi before any reduction."""
+    n = 6
+    ones = np.tril(np.ones((n, n), dtype=np.int64))
+    u = ones @ ones.T
+    adv = generate_advice(integer_identity(n), 1e-3, count, seed=14)
+    return GaussianAdvice(LatticeBasis(u.tolist()), adv.coeffs @ u.T, adv.eps, adv.seed)
+
+
+LARGE = {count: large_coefficient_advice(count) for count in (_TILE_COLS + 1, 2 * _TILE_COLS + 123)}
+
+
+@pytest.mark.parametrize("count", sorted(LARGE))
+@pytest.mark.parametrize("n_rows", [1, _TILE_ROWS, _TILE_ROWS + 3])
+def test_kernel_tracks_the_reference_at_large_coefficient_sums(count, n_rows):
+    adv = LARGE[count]
+    assert adv._coef_sum >= 100
+    rng = np.random.default_rng(count + n_rows)
+    # rows near points of Z^6, and every third row far out
+    ts = rng.integers(-5, 6, size=(n_rows, 6)) + 0.1 * rng.normal(size=(n_rows, 6))
+    ts[2::3] = rng.uniform(-1e6, 1e6, size=ts[2::3].shape)
+    assert_kernel_tracks_reference(adv, ts)
+
+
+@pytest.mark.parametrize("big", [2 ** 53 + 1, -(2 ** 53) - 1, -(2 ** 63)])
+def test_coefficients_beyond_2_53_are_rejected(big):
+    basis = integer_identity(2)
+    GaussianAdvice(basis, [[1, 0], [0, -(2 ** 53)]], 1e-3, 0)
+    with pytest.raises(ValueError, match="2\\^53"):
+        GaussianAdvice(basis, [[1, 0], [0, big]], 1e-3, 0)
+
+
+def test_kernel_err_covers_the_float32_rounding_of_a_large_phase():
+    # one draw with coefficient 1000 has phases up to 1000 pi, where rounding
+    # them to float32 moves cos far more than the trig charge; the
+    # pi * S * 2^-24 term of kernel_err is what covers it
+    adv = GaussianAdvice(integer_identity(1), [[1000]], 1e-3, 0)
+    ts = np.linspace(0.1, 0.4, 3001)[:, None]
+    gap = np.abs(adv.f_batch(ts) - [adv.f(t) for t in ts])
+    assert np.all(gap <= adv.kernel_err(ts))
+    assert gap.max() > 100 * _TRIG_ERR
+
+
+def test_float32_trig_stays_within_the_charged_error():
+    # kernel_err charges _TRIG_ERR for each float32 cos and sin on phases up
+    # to pi * S; S is taken from a rank-8 advice of the decode-r8 size
+    adv = generate_advice(random_dual_orthogonal(8, seed=4), 1e-6, advice_count(8, 1e-6), seed=4)
+    bound = math.pi * adv._coef_sum
+    grid = np.linspace(-bound, bound, 1 << 22, dtype=np.float32)
+    out = np.empty(1 << 20, dtype=np.float32)
+    for chunk in np.split(grid, 4):
+        ref = chunk.astype(np.float64)
+        for fn in (np.cos, np.sin):
+            fn(chunk, out=out)
+            assert np.abs(out - fn(ref)).max() <= _TRIG_ERR, fn.__name__
+
+
 @given(st.lists(COORD, min_size=3, max_size=3),
        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=3))
 def test_batched_kernel_is_periodic_over_the_lattice(coords, ks):
@@ -258,9 +319,10 @@ def test_batched_kernel_is_periodic_over_the_lattice(coords, ks):
 
 
 def test_kernel_err_is_small_near_the_lattice_and_grows_with_the_target():
+    # the charge must stay far below the guard floor it is subtracted against
     adv = GENERIC
     near, far = adv.kernel_err(np.array([[0.1, 0.2, 0.3], [1e12, 0.0, 0.0]]))
-    assert near < 1e-6
+    assert near <= default_denom_floor(adv.eps) / 1000
     assert far > near
 
 

@@ -323,6 +323,14 @@ def test_frame_indices_skip_a_short_dependent_draw():
     assert _frame_indices(advice) == [0, 2]
 
 
+def test_frame_indices_search_past_the_first_prescreen_chunk():
+    # a long draw, then 2,000 copies of one short draw, then the draw that
+    # completes the frame: the prescreen has to reach its second chunk
+    rows = [[3, 0]] + [[1, 0]] * 2000 + [[0, -1]]
+    advice = GaussianAdvice(integer_identity(2), rows, 1e-3, 0)
+    assert _frame_indices(advice) == [1, 2001]
+
+
 @pytest.mark.parametrize("n, seed", [(2, 3), (3, 7), (4, 11)])
 def test_frame_coefficients_are_the_inverse_transpose_of_the_draws(n, seed):
     _, dec = fitted(n=n, seed=seed, n_advice=1500)
