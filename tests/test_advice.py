@@ -228,10 +228,10 @@ def test_batched_kernel_tracks_the_float64_reference(coords):
     assert_kernel_tracks_reference(GENERIC, np.array([coords]))
 
 
-# draw counts below one kernel tile, one draw past it, and over two tiles
-# with a partial third
+# draw counts below one kernel tile, one draw past two tiles, and over four
+# tiles with a partial fifth
 TILED = {count: generate_advice(random_dual_orthogonal(3, seed=12), 1e-3, count, seed=12)
-         for count in (_TILE_COLS + 1, 2 * _TILE_COLS + 123)}
+         for count in (2 * _TILE_COLS + 1, 4 * _TILE_COLS + 123)}
 TILED[len(GENERIC)] = GENERIC
 
 
@@ -272,7 +272,7 @@ def test_kernel_tracks_the_reference_at_large_coefficient_sums(count, n_rows):
     assert_kernel_tracks_reference(adv, ts)
 
 
-@pytest.mark.parametrize("big", [2 ** 53 + 1, -(2 ** 53) - 1, -(2 ** 63)])
+@pytest.mark.parametrize("big", [2 ** 53 + 1, -(2 ** 53) - 1, -(2 ** 63), 2 ** 63, 2 ** 64])
 def test_coefficients_beyond_2_53_are_rejected(big):
     basis = integer_identity(2)
     GaussianAdvice(basis, [[1, 0], [0, -(2 ** 53)]], 1e-3, 0)
