@@ -21,8 +21,9 @@ from .rng import stream
 _PI = math.pi
 
 # the kernel walks the targets-by-advice phase matrix in tiles of at most
-# _TILE_ROWS targets by _TILE_COLS draws, so that its three reused buffers
-# (16 bytes per entry) stay within a 2 MiB L2 cache
+# _TILE_ROWS targets by _TILE_COLS draws, so that its two reused float32
+# buffers stay within a 2 MiB L2 cache; the tile width also sets the
+# (_TILE_COLS - 1) * 2^-24 that kernel_err charges for the float32 sums
 _TILE_COLS = 4096
 _TILE_ROWS = 8
 
@@ -32,6 +33,35 @@ _TRIG_ERR = 2.0 ** -23
 
 # coefficients at most this large in size are exact in float64
 _EXACT_COEFF = 2 ** 53
+
+
+def _integer_coefficients(coeffs, rank):
+    """coeffs as an N x rank int64 array; ValueError unless every entry is
+    a finite integer of size at most 2^53."""
+    try:
+        raw = np.asarray(coeffs)
+    except OverflowError:
+        raise ValueError("advice coefficients must be at most 2^53 in size") from None
+    if raw.ndim != 2 or raw.shape[1] != rank:
+        raise ValueError(f"coefficient array must be N x {rank}, got {raw.shape}")
+    if raw.shape[0] == 0:
+        raise ValueError("advice must hold at least one draw")
+    if raw.dtype.kind == "f":
+        integral = bool(np.isfinite(raw).all() and (raw == np.rint(raw)).all())
+    else:
+        integral = raw.dtype.kind in "biu" or all(map(_is_integer, raw.flat))
+    if not integral:
+        raise ValueError("advice coefficients must be finite integers")
+    if raw.max() > _EXACT_COEFF or raw.min() < -_EXACT_COEFF:
+        raise ValueError("advice coefficients must be at most 2^53 in size")
+    return raw.astype(np.int64, copy=False)
+
+
+def _is_integer(x):
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _float_vectors(basis, coeffs):
@@ -69,44 +99,39 @@ class GaussianAdvice:
     reference. The batched f_batch and step_batch reduce each target once:
     u_k = <b*_k, t> mod 1 over the n dual rows b*_k, so that every phase
     2 pi <w_i, t> is congruent mod 2 pi to the integer combination
-    sum_k c_ik 2 pi u_k. They take those sums in float64 and their cos and
-    sin in float32, one cache-sized tile of targets by draws at a time;
-    kernel_err bounds what that adds. The coefficients are kept once more
-    as a column-major float64 array, so each coefficient column is
-    contiguous within a tile.
+    sum_k c_ik 2 pi u_k. They round each 2 pi u_k to a multiple of 2^-q,
+    with q set so that every such combination is exact in float32, then
+    take the phases, their cos and sin and the sums over the draws in
+    float32, one cache-sized tile of targets by draws at a time, and add
+    the tile totals in float64; kernel_err bounds what that adds. Every sum
+    runs along one target's row, so a row gets the same bits in any batch.
+    The coefficients are kept once more as a column-major float32 array, so
+    each coefficient column is contiguous within a tile.
     """
 
     def __init__(self, basis, coeffs, eps, seed):
         if basis.rank == 0:
             raise ValueError("advice needs a lattice of positive rank")
-        try:
-            coeffs = np.asarray(coeffs, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("advice coefficients must be at most 2^53 in size") from None
-        if coeffs.ndim != 2 or coeffs.shape[1] != basis.rank:
-            raise ValueError(
-                f"coefficient array must be N x {basis.rank}, got {coeffs.shape}"
-            )
-        if coeffs.shape[0] == 0:
-            raise ValueError("advice must hold at least one draw")
-        if coeffs.max() > _EXACT_COEFF or coeffs.min() < -_EXACT_COEFF:
-            raise ValueError("advice coefficients must be at most 2^53 in size")
+        coeffs = _integer_coefficients(coeffs, basis.rank)
         self.basis = basis
         self.coeffs = coeffs
         self.eps = check_eps(eps)
         self.seed = int(seed)
-        self._coeffs_f = np.asfortranarray(coeffs, dtype=np.float64)
+        self._coeffs32 = np.asfortranarray(coeffs, dtype=np.float32)
         # S = max_i sum_k |c_ik| bounds every reduced phase by pi * S
         self._coef_sum = max(
             int(np.abs(coeffs[i:i + _TILE_COLS]).sum(axis=1).max())
             for i in range(0, len(self), _TILE_COLS)
         )
+        # the largest q with every phase numerator sum_k c_ik n_k, for
+        # n_k = rint(2^q * 2 pi u_k), within 2^24 in size
+        self._phase_exp = math.floor(24 - math.log2((_PI + 1) * self._coef_sum))
         dual = basis.dual.float_rows
         bmax = float(np.sqrt(np.einsum("ij,ij->i", dual, dual).max()))
-        phase_max = _PI * self._coef_sum
         self._err_const = (
-            (phase_max + 2.0) * 2.0 ** -24 + _TRIG_ERR
-            + ((basis.rank + 3) * phase_max + len(self)) * 2.0 ** -53
+            self._coef_sum * 2.0 ** -(self._phase_exp + 1) + 2 * _TRIG_ERR
+            + (min(len(self), _TILE_COLS) - 1) * 2.0 ** -24
+            + (2 * _PI * self._coef_sum + len(self)) * 2.0 ** -53
         )
         self._err_slope = (
             2.0 * _PI * self._coef_sum * (basis.rank + basis.ambient + 1)
@@ -163,8 +188,9 @@ class GaussianAdvice:
         f(t) is the mean of cos(2 pi <w_i, t>) over the float64 vectors w_i,
         taken in exact arithmetic. Write c_i for the integer coefficient row
         of draw i, b*_k for the float64 dual rows, S = max_i sum_k |c_ik|,
-        B = max_k ||b*_k|| and u = 2^-53. The batched kernel departs from f
-        in these places, and cos and sin are 1-Lipschitz:
+        B = max_k ||b*_k||, u = 2^-53, m = min(N, _TILE_COLS) for the tile
+        width and q = floor(24 - log2((pi + 1) * S)). The batched kernel
+        departs from f in these places, and cos and sin are 1-Lipschitz:
 
         - w_i is the float64 product c_i B*, within rank * u * S * B of the
           exact combination in norm, so <w_i, t> differs from
@@ -179,31 +205,42 @@ class GaussianAdvice:
           taking it leaves every phase unchanged mod 2 pi, as the c_ik are
           integers;
         - 2 pi r_k errs by at most 2 pi * u (the rounded constant and the
-          product), and the float64 sum x_i = sum_k c_ik 2 pi r_k by at
-          most rank * u * pi * S more, to first order: charged
-          (rank + 3) * pi * S * u in all;
-        - |x_i| <= pi * S, so rounding it to float32 moves it by at most
-          pi * S * 2^-24;
+          product), so the combination over a draw's coefficients by at
+          most 2 pi * S * u;
+        - rounding 2 pi r_k to the nearest multiple 2^-q * n_k moves it by
+          at most 2^-(q + 1), and the phase by at most S * 2^-(q + 1). As
+          |n_k| <= pi * 2^q + 1/2, every partial sum of the c_ik n_k is an
+          integer of size at most (pi + 1) * S * 2^q <= 2^24 once q >= 0,
+          so the float32 phase products are exact in any summation order.
+          When q < 0 they need not be, but then S > 2^21, and the charge
+          S * 2^-(q + 1) is far more than f_batch and f, both about 1 at
+          most in size, can differ by;
         - numpy's float32 cos and sin are charged _TRIG_ERR = 2 * 2^-24
           each (documented within 1.5 ULP; 1.18 * 2^-24 measured on a grid
-          over [-39 pi, 39 pi]). A further 2 * 2^-24 covers the
-          second-order terms of the float32 rounding;
-        - the float64 mean of N terms of size at most 1 errs by at most
-          N * u, the bound for summing them one after another. The kernel
-          sums each tile of draws as a float64 product with ones and adds
-          the tile sums in sequence; no term passes through more than N - 1
-          additions in any order, so the charge stands.
+          over [-39 pi, 39 pi]). A further _TRIG_ERR covers the
+          second-order terms of the float32 sums below;
+        - the float32 sum of the cosines along one row of a tile, at most m
+          terms of size at most 1, errs by at most (m - 1) * 2^-24 times
+          their count in any order, so by (m - 1) * 2^-24 in the mean;
+        - the tile totals add up in float64, and the mean of N terms of
+          size at most 1 errs by at most N * u that way.
 
-        At a rank-8 decoder with N = 221,049 draws (S = 39) the bound is
-        about 7.5e-6 near the lattice, far below the guard floor 7.9e-3
-        and the 1/sqrt(N) = 2.1e-3 sampling error of the estimator itself.
+        At a rank-8 decoder with N = 221,049 draws (S = 39, q = 16, m = 4096)
+        the bound is about 5.4e-4 near the lattice: 3.0e-4 for the phase
+        rounding and 2.4e-4 for the float32 sums. That is under a tenth of
+        the guard floor 7.9e-3 and a quarter of the 1/sqrt(N) = 2.1e-3
+        sampling error of the estimator itself.
 
         The sine sums behind step_batch carry the same error per draw, so
         the gradient -(2 pi / N) sum w_i sin(2 pi <w_i, t>) that step_batch
-        uses is within 2 pi * max||w|| times this bound of its exact value,
-        plus 2 pi * (N + rank) * u * S * B for summing the sines over the
-        coefficients and mapping the sums through the dual rows in float64
-        (1.2e-4 and 2.8e-9 near the lattice at that decoder).
+        uses is within 2 pi * max||w|| times this bound of its exact value.
+        Summing the sines over the coefficient columns in float32 adds at
+        most 2 pi * m * 2^-24 * S * B, and adding the tile totals and
+        mapping them through the dual rows in float64
+        2 pi * (N + rank) * u * S * B (8.4e-3, 2.8e-2 and 2.8e-9 near the
+        lattice at that decoder). Nothing is certified from the gradient:
+        it only moves the iterate, and each output is decided by the exact
+        membership check.
         """
         ts = np.atleast_2d(np.asarray(ts, dtype=np.float64))
         return self._err_const + self._err_slope * np.hypot.reduce(ts, axis=1)
@@ -220,45 +257,46 @@ class GaussianAdvice:
         """Estimator values of the rows of ts and, when grad is set, the sums
         sum_i w_i sin(2 pi <w_i, t>); see kernel_err for the error.
 
-        Each target is reduced once, to 2 pi u over the dual rows; the
-        phases are then taken tile by tile as products with the coefficient
-        columns, every tile in the same three buffers. The cosines and sines
-        are widened to float64 and summed by products with ones and with
-        the coefficient columns, and the sine sums map to ambient
-        coordinates once at the end.
+        Each target is reduced once, to 2 pi u over the dual rows, and 2 pi u
+        is rounded to multiples of 2^-q, so that each tile's float32 phase
+        product with the coefficient columns is exact. The cosines are
+        summed along each row, and the sines by one product per row with
+        the coefficient columns, both in float32; the tile totals add up in
+        float64, and the sine sums map to ambient coordinates at the end.
+        Every reduction runs one row at a time, so a row's result does not
+        depend on the batch it is in.
         """
         k = ts.shape[0]
         big = len(self)
         dual = self.basis.dual.float_rows
-        u = ts @ dual.T
+        u = np.matmul(ts[:, None, :], dual.T)[:, 0]
         u -= np.rint(u)
         u *= 2.0 * _PI
+        scale = 2.0 ** self._phase_exp
+        v = (np.rint(u * scale) / scale).astype(np.float32)
         rows, cols = min(k, _TILE_ROWS), min(big, _TILE_COLS)
-        x_buf = np.empty(rows * cols)
         p_buf = np.empty(rows * cols, dtype=np.float32)
-        c_buf = np.empty(rows * cols, dtype=np.float32)
-        ones = np.ones(cols)
+        t_buf = np.empty(rows * cols, dtype=np.float32)
+        ones = np.ones(cols, dtype=np.float32)
         sums = np.zeros(k)
         sines = np.zeros((k, self.basis.rank)) if grad else None
         for r0 in range(0, k, rows):
-            block = u[r0:r0 + rows]
+            block = v[r0:r0 + rows]
             for c0 in range(0, big, cols):
-                c = self._coeffs_f[c0:c0 + cols]
+                c = self._coeffs32[c0:c0 + cols]
                 shape = (block.shape[0], c.shape[0])
                 size = shape[0] * shape[1]
-                x = x_buf[:size].reshape(shape)
                 phase = p_buf[:size].reshape(shape)
-                trig = c_buf[:size].reshape(shape)
-                np.matmul(block, c.T, out=x)
-                phase[...] = x
+                trig = t_buf[:size].reshape(shape)
+                np.matmul(block, c.T, out=phase)
                 np.cos(phase, out=trig)
-                x[...] = trig
-                sums[r0:r0 + rows] += x @ ones[:shape[1]]
+                sums[r0:r0 + rows] += np.matmul(trig[:, None, :], ones[:shape[1]])[:, 0]
                 if grad:
                     np.sin(phase, out=trig)
-                    x[...] = trig
-                    sines[r0:r0 + rows] += x @ c
-        return sums / big, (sines @ dual if grad else None)
+                    sines[r0:r0 + rows] += np.matmul(trig[:, None, :], c)[:, 0]
+        if grad:
+            sines = np.matmul(sines[:, None, :], dual)[:, 0]
+        return sums / big, sines
 
     def f_batch(self, ts):
         """Estimator values of the rows of ts, within kernel_err of f."""

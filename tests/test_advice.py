@@ -233,6 +233,8 @@ def test_batched_kernel_tracks_the_float64_reference(coords):
 TILED = {count: generate_advice(random_dual_orthogonal(3, seed=12), 1e-3, count, seed=12)
          for count in (2 * _TILE_COLS + 1, 4 * _TILE_COLS + 123)}
 TILED[len(GENERIC)] = GENERIC
+# a rank-8 advice of the decode-r8 size
+RANK8 = generate_advice(random_dual_orthogonal(8, seed=4), 1e-6, advice_count(8, 1e-6), seed=4)
 
 
 @pytest.mark.parametrize("count", sorted(TILED))
@@ -243,6 +245,32 @@ def test_tiled_kernel_matches_the_reference_at_every_tile_edge(count, n_rows):
     # every third row far out, with coordinates up to 1e6
     ts[2::3] = rng.uniform(-1e6, 1e6, size=ts[2::3].shape)
     assert_kernel_tracks_reference(TILED[count], ts)
+
+
+BATCHED = {**TILED, len(RANK8): RANK8}
+
+
+@pytest.mark.parametrize("count", sorted(BATCHED))
+@pytest.mark.parametrize("n_rows", [1, _TILE_ROWS + 3, 3 * _TILE_ROWS + 1])
+def test_kernel_rows_are_bit_identical_in_any_batch(count, n_rows):
+    # each row of f_batch and step_batch equals the same row run alone and in
+    # a shuffled batch, bit for bit, near the lattice and far out
+    adv = BATCHED[count]
+    rng = np.random.default_rng(count * n_rows)
+    ts = 0.3 * rng.normal(size=(n_rows, adv.basis.ambient))
+    ts[2::3] = rng.uniform(-1e6, 1e6, size=ts[2::3].shape)
+    fb = adv.f_batch(ts)
+    stepped, vals = adv.step_batch(ts, floor=0.0)
+    perm = rng.permutation(n_rows)
+    s_perm, v_perm = adv.step_batch(ts[perm], floor=0.0)
+    assert np.array_equal(adv.f_batch(ts[perm]), fb[perm])
+    assert np.array_equal(s_perm, stepped[perm])
+    assert np.array_equal(v_perm, vals[perm])
+    for k, t in enumerate(ts):
+        s_one, v_one = adv.step_batch(t, floor=0.0)
+        assert np.array_equal(adv.f_batch(t), fb[k:k + 1])
+        assert np.array_equal(s_one, stepped[k:k + 1])
+        assert np.array_equal(v_one, vals[k:k + 1])
 
 
 def large_coefficient_advice(count):
@@ -280,10 +308,43 @@ def test_coefficients_beyond_2_53_are_rejected(big):
         GaussianAdvice(basis, [[1, 0], [0, big]], 1e-3, 0)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.25, 1e-300, math.nan, math.inf, -math.inf,
+                                 Fraction(3, 2), "1"])
+def test_non_integer_coefficients_are_rejected(bad):
+    # the draw (0, 1.5) must not be read as (0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        GaussianAdvice(integer_identity(2), [[1, 0], [0, bad]], 1e-3, 0)
+
+
+@pytest.mark.parametrize("ok", [2.0, -(2.0 ** 53), Fraction(4, 2), np.int32(-3), True])
+def test_integral_coefficients_of_any_type_are_accepted(ok):
+    adv = GaussianAdvice(integer_identity(2), [[1, 0], [0, ok]], 1e-3, 0)
+    assert adv.coeffs.dtype == np.int64
+    assert adv.coeffs[1, 1] == ok
+
+
+def test_a_coefficient_float32_cannot_hold_trips_every_guard():
+    # 2^24 + 1 rounds in float32, and no phase scale keeps the phase
+    # numerators within 2^24, so kernel_err exceeds 2: f_batch stays
+    # within it of f, and no row clears the guard, not even a lattice point
+    adv = GaussianAdvice(integer_identity(2), [[2 ** 24 + 1, 0], [1, 3]], 1e-3, 0)
+    assert adv._phase_exp <= 0
+    rng = np.random.default_rng(24)
+    ts = np.vstack([np.zeros(2), 0.3 * rng.normal(size=(20, 2)),
+                    rng.uniform(-1e6, 1e6, size=(20, 2))])
+    err = adv.kernel_err(ts)
+    assert np.all(err > 2)
+    gap = np.abs(adv.f_batch(ts) - [adv.f(t) for t in ts])
+    assert np.all(gap <= err)
+    stepped, vals = adv.step_batch(ts, floor=0.0)
+    assert not adv.clears_guard(ts, vals, 0.0).any()
+    assert np.array_equal(stepped, ts)
+
+
 def test_kernel_err_covers_the_float32_rounding_of_a_large_phase():
     # one draw with coefficient 1000 has phases up to 1000 pi, where rounding
-    # them to float32 moves cos far more than the trig charge; the
-    # pi * S * 2^-24 term of kernel_err is what covers it
+    # them to multiples of 2^-q moves cos far more than the trig charge; the
+    # S * 2^-(q + 1) term of kernel_err is what covers it
     adv = GaussianAdvice(integer_identity(1), [[1000]], 1e-3, 0)
     ts = np.linspace(0.1, 0.4, 3001)[:, None]
     gap = np.abs(adv.f_batch(ts) - [adv.f(t) for t in ts])
@@ -294,7 +355,7 @@ def test_kernel_err_covers_the_float32_rounding_of_a_large_phase():
 def test_float32_trig_stays_within_the_charged_error():
     # kernel_err charges _TRIG_ERR for each float32 cos and sin on phases up
     # to pi * S; S is taken from a rank-8 advice of the decode-r8 size
-    adv = generate_advice(random_dual_orthogonal(8, seed=4), 1e-6, advice_count(8, 1e-6), seed=4)
+    adv = RANK8
     bound = math.pi * adv._coef_sum
     grid = np.linspace(-bound, bound, 1 << 22, dtype=np.float32)
     out = np.empty(1 << 20, dtype=np.float32)
@@ -303,6 +364,15 @@ def test_float32_trig_stays_within_the_charged_error():
         for fn in (np.cos, np.sin):
             fn(chunk, out=out)
             assert np.abs(out - fn(ref)).max() <= _TRIG_ERR, fn.__name__
+
+
+def test_kernel_err_near_the_lattice_is_a_tenth_of_the_floor_at_decode_size():
+    # phase quantisation 39 * 2^-17 plus the float32 sums 4095 * 2^-24
+    # stay under a tenth of the guard floor 7.9e-3
+    adv = RANK8
+    rng = np.random.default_rng(8)
+    near = adv.kernel_err(0.1 * rng.normal(size=(16, 8)))
+    assert np.all(near <= default_denom_floor(adv.eps) / 10)
 
 
 @given(st.lists(COORD, min_size=3, max_size=3),
