@@ -21,7 +21,7 @@ def as_fraction(x):
             raise ValueError(f"exact values must be finite, got {x!r}")
         return Fraction(float(x))
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 

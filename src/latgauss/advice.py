@@ -3,7 +3,7 @@
 The preprocessing stage draws vectors from the discrete Gaussian on the
 dual lattice at the smoothing width. Averaging cosines over those draws
 estimates the periodic Gaussian density of the primal lattice; the matching
-sine and outer-product averages estimate its gradient and Hessian. Every
+sine average estimates its gradient. Every
 draw keeps its exact integer coefficient record, and its float coordinates
 are derived from it, so membership stays exact. The decoder file written by
 BddDecoder.save is the only file format for advice; it reloads to a
@@ -84,8 +84,7 @@ class GaussianAdvice:
     equals 1 on it, and for draws at the smoothing width it concentrates
     around the true periodic Gaussian.
 
-    f, grad and hessian evaluate in float64 over vectors and are the
-    reference. The batched f_batch and step_batch reduce each target once:
+    f and grad evaluate in float64 over vectors and are the reference. The batched f_batch and step_batch reduce each target once:
     u_k = <b*_k, t> mod 1 over the n dual rows b*_k, so that every phase
     2 pi <w_i, t> is congruent mod 2 pi to the integer combination
     sum_k c_ik 2 pi u_k. They round each 2 pi u_k to a multiple of 2^-q,
@@ -165,11 +164,6 @@ class GaussianAdvice:
         """Gradient -(2 pi / N) sum of w_i sin(2 pi <w_i, t>)."""
         w, phases = self._reference(t)
         return -(2.0 * _PI / len(self)) * (w.T @ np.sin(phases))
-
-    def hessian(self, t):
-        """Hessian -(4 pi^2 / N) sum of w_i w_i^T cos(2 pi <w_i, t>)."""
-        w, phases = self._reference(t)
-        return -(4.0 * _PI * _PI / len(self)) * ((w * np.cos(phases)[:, None]).T @ w)
 
     def kernel_err(self, ts):
         """Bound on |f_batch(t) - f(t)| for each row t of ts.
@@ -296,16 +290,17 @@ class GaussianAdvice:
     def step_batch(self, ts, floor=None):
         """Vectorized gradient steps over the rows of ts.
 
-        Returns (stepped targets, estimator values). Rows that fail
-        clears_guard against the floor are returned unchanged; callers
-        recognize them the same way.
+        Returns (stepped targets, estimator values, ok), with ok the mask of
+        rows that pass clears_guard against the floor (default_denom_floor(eps)
+        when floor is None). Only those rows step; the others are returned
+        unchanged.
         """
         ts = np.array(np.atleast_2d(ts), dtype=np.float64)
         floor = default_denom_floor(self.eps) if floor is None else float(floor)
         vals, sines = self._kernel(ts, grad=True)
         ok = self.clears_guard(ts, vals, floor)
         ts[ok] -= sines[ok] / (len(self) * vals[ok, None])
-        return ts, vals
+        return ts, vals, ok
 
 
 def generate_advice(basis, eps, count, seed, eta=None):

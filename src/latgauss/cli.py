@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._validation import parse_fraction
+from ._validation import as_fraction_vector
 from .decoder import BddDecoder, FrameAbort
 from .enumeration import BudgetExceeded
 from .experiments import parse_config, run_experiment
 from .generators import generate_lattice
-from .lattice import format_basis, read_basis
+from .lattice import format_basis, read_basis, write_basis
 from .reductions import (
     KannanReducer,
     MasterReducer,
@@ -29,21 +29,12 @@ from .reductions import (
 from .verify import verify_suite
 
 
-def _parse_target(text, ambient):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != ambient:
-        raise ValueError(f"target needs {ambient} coordinates, got {len(parts)}")
-    return tuple(parse_fraction(p) for p in parts)
-
-
 def _cmd_gen_lattice(args):
     basis = generate_lattice(args.spec, args.seed)
-    text = format_basis(basis)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        write_basis(args.out, basis)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_basis(basis))
     return 0
 
 
@@ -60,7 +51,7 @@ def _cmd_preprocess(args):
 
 def _cmd_decode(args):
     dec = BddDecoder.load(args.advice)
-    target = _parse_target(args.target, dec.basis_.ambient)
+    target = as_fraction_vector(args.target.replace(",", " ").split(), dec.basis_.ambient)
     res = dec.decode([float(x) for x in target], trace=args.trace)
     print("vector = " + " ".join(str(x) for x in res.vector))
     if res.coeffs is not None:
@@ -78,7 +69,7 @@ def _cmd_decode(args):
 
 def _cmd_reduce(args):
     basis = read_basis(args.lattice)
-    target = _parse_target(args.target, basis.ambient)
+    target = as_fraction_vector(args.target.replace(",", " ").split(), basis.ambient)
     if args.inner == "oracle":
         inner = oracle_inner()
     else:
@@ -109,8 +100,6 @@ def _cmd_experiment(args):
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(csv_text)
-        if args.echo:
-            sys.stderr.write(csv_text)
     else:
         sys.stdout.write(csv_text)
     print(report.summary(), file=sys.stderr)
@@ -170,7 +159,6 @@ def main(argv=None):
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--out", help="CSV output file (stdout when omitted)")
-    p.add_argument("--echo", action="store_true", help="echo CSV to stderr too")
     p.set_defaults(run=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the release-gate checks")

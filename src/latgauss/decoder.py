@@ -25,7 +25,6 @@ from .advice import (
     GaussianAdvice,
     _float_vectors,
     advice_count,
-    default_denom_floor,
     generate_advice,
 )
 from .gaussian import decoding_width, smoothing_parameter
@@ -297,7 +296,6 @@ class BddDecoder(ParamMixin):
             )
         if not np.isfinite(ts).all():
             raise ValueError("targets must have finite coordinates")
-        floor = default_denom_floor(self.advice_.eps)
         cur = float(self.scale_) * ts
         k = cur.shape[0]
         guarded_at = np.full(k, -1)
@@ -312,12 +310,11 @@ class BddDecoder(ParamMixin):
             live = np.flatnonzero(guarded_at < 0)
             if live.size == 0:
                 break
-            stepped, vals = self.advice_.step_batch(cur[live], floor)
+            stepped, vals, ok = self.advice_.step_batch(cur[live])
             if trace:
                 record(live, vals)
-            tripped = ~self.advice_.clears_guard(cur[live], vals, floor)
-            cur[live[~tripped]] = stepped[~tripped]
-            guarded_at[live[tripped]] = it
+            cur[live] = stepped
+            guarded_at[live[~ok]] = it
         live = np.flatnonzero(guarded_at < 0)
         if trace and live.size:
             record(live, self.advice_.f_batch(cur[live]))

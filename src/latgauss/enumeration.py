@@ -173,6 +173,11 @@ def _exact_sqdists(coeffs, rows_int, center_int):
     return np.array(out, dtype=object)
 
 
+def _float_points(basis, coeffs):
+    """Float64 coordinates of the points with integer coefficient rows coeffs."""
+    return coeffs.astype(np.float64) @ basis.float_rows
+
+
 @dataclass
 class BallPoints:
     """All lattice points within an exact radius of a center.
@@ -191,9 +196,7 @@ class BallPoints:
         return self.coeffs.shape[0]
 
     def points_float(self):
-        if self.basis.rank == 0:
-            return np.zeros((len(self), self.basis.ambient))
-        return self.coeffs.astype(np.float64) @ self.basis.float_rows
+        return _float_points(self.basis, self.coeffs)
 
     def sqdists_float(self):
         return self.scaled_sqdist.astype(np.float64) / float(self.scale_sq)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._validation import as_float_vector, as_fraction_vector, check_count, check_eps, check_positive
-from .enumeration import _points_within, enumerate_ball, lambda1
+from .enumeration import _float_points, _points_within, enumerate_ball, lambda1
 from .lattice import LatticeBasis, lattice_coefficients, project_away_from_prefix, sqnorm
 from .rng import stream
 
@@ -185,18 +185,6 @@ class PeriodicGaussian:
         ts = np.asarray(ts, dtype=np.float64)
         return np.cos(2.0 * _PI * (ts @ self._w.T)) @ self._weights
 
-    def step(self, t, floor=0.0):
-        """One gradient-ascent step t + s^2 grad/(2 pi f); f must clear floor.
-
-        The s^2 factor sizes the move for the width of the Gaussian: around
-        an isolated lattice point y the step lands on y exactly. At s = 1 it
-        is the plain t + grad/(2 pi f).
-        """
-        t = as_float_vector(t, self.basis.ambient)
-        val = self.f(t)
-        if val <= floor:
-            raise ValueError(f"density {val:.3e} at the query point is below the floor {floor:.3e}")
-        return t + (self.s * self.s) * self.grad(t) / (2.0 * _PI * val)
 
 
 @dataclass(frozen=True)
@@ -289,7 +277,7 @@ def density_envelope(dist, eps):
     d = float(dist)
     if d < 0:
         raise ValueError(f"distance must be nonnegative, got {d}")
-    s_eps = math.sqrt(math.log(2.0 * (1.0 + eps) / eps) / _PI)
+    s_eps = decoding_width(eps)[0]
     lower = math.exp(-_PI * d * d)
     window = 0.5 * (math.erf(_SQRT_PI * (s_eps + d)) - math.erf(_SQRT_PI * (s_eps - d)))
     upper = lower * (1.0 + eps * math.cosh(2.0 * _PI * s_eps * d)) / (1.0 + eps)
@@ -316,9 +304,7 @@ class GaussianSamples:
         return self.coeffs.shape[0]
 
     def vectors_float(self):
-        if self.basis.rank == 0:
-            return np.zeros((len(self), self.basis.ambient))
-        return self.coeffs.astype(np.float64) @ self.basis.float_rows
+        return _float_points(self.basis, self.coeffs)
 
 
 def _orthogonal_rows(basis):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,6 +82,11 @@ _KINDS = {
 }
 
 
+def _params(kind):
+    """The generator's parameter names after the rank."""
+    return tuple(inspect.signature(_KINDS[kind]).parameters)[1:]
+
+
 @dataclass(frozen=True)
 class LatticeGeneratorSpec:
     """A generator name, the rank, and extra keyword parameters."""
@@ -91,7 +97,11 @@ class LatticeGeneratorSpec:
 
     @classmethod
     def parse(cls, text):
-        """Parse 'kind:n' or 'kind:n,key=value,...'."""
+        """Parse 'kind:n' or 'kind:n,key=value,...'.
+
+        The keys are the generator's keyword parameters; seed is not one of
+        them, as generate_lattice passes it.
+        """
         head, _, rest = text.strip().partition(":")
         kind = head.strip()
         if kind not in _KINDS:
@@ -100,25 +110,26 @@ class LatticeGeneratorSpec:
             raise ValueError(f"lattice spec {text!r} is missing the rank, e.g. {kind}:8")
         parts = [p.strip() for p in rest.split(",")]
         n = int(parts[0])
+        allowed = tuple(k for k in _params(kind) if k != "seed")
         params = []
         for p in parts[1:]:
             key, _, val = p.partition("=")
             if not val:
                 raise ValueError(f"bad lattice parameter {p!r}; want key=value")
-            params.append((key.strip(), int(val)))
+            key = key.strip()
+            if key not in allowed:
+                raise ValueError(
+                    f"{kind} takes no parameter {key!r}; allowed keys: {list(allowed)}"
+                )
+            params.append((key, int(val)))
         return cls(kind, n, tuple(params))
-
-    def __str__(self):
-        tail = "".join(f",{k}={v}" for k, v in self.params)
-        return f"{self.kind}:{self.n}{tail}"
 
 
 def generate_lattice(spec, seed=0):
     """Build the lattice described by spec (a LatticeGeneratorSpec or string)."""
     if isinstance(spec, str):
         spec = LatticeGeneratorSpec.parse(spec)
-    fn = _KINDS[spec.kind]
     kwargs = dict(spec.params)
-    if spec.kind in ("random-integer", "random-dual-orthogonal"):
+    if "seed" in _params(spec.kind):
         kwargs["seed"] = seed
-    return fn(spec.n, **kwargs)
+    return _KINDS[spec.kind](spec.n, **kwargs)

@@ -282,13 +282,6 @@ def project_away_from_prefix(basis, k, vector):
     return tuple(Fraction(x, den) for x in f.project(k, vi))
 
 
-def project_onto_prefix(basis, k, vector):
-    """Project vector onto span(b_1..b_k)."""
-    v = as_fraction_vector(vector, basis.ambient)
-    away = project_away_from_prefix(basis, k, v)
-    return tuple(a - b for a, b in zip(v, away))
-
-
 def project_lattice(basis, k):
     """The rank n-k lattice obtained by projecting away span(b_1..b_k).
 

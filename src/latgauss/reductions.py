@@ -365,8 +365,6 @@ def _sample_coset(basis, p, rng):
 
 def sparse_coset_sample(basis, p, seed):
     """A uniform functional z (nonzero mod p) and uniform residue c."""
-    if basis.denominator != 1:
-        raise ValueError("coset sampling wants an integer basis; scale first")
     p = int(p)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -394,11 +392,11 @@ class SparsifyResult:
 class SparsifyReducer(ParamMixin):
     """Random-coset reduction: solve on index-p sublattices, nearest wins.
 
-    fit checks the parameters and the rank and keeps the lattice scaled to
-    integers (work_, with scale_ its denominator). Each trial of reduce
-    draws a coset, shifts the target by a representative, and hands the
-    solver the sublattice, whose minimum distance is large relative to the
-    shifted distance for a good draw. In paper mode the right prime scale is
+    fit checks the parameters and the rank and keeps the basis (basis_);
+    cosets and searches work on a rational basis as it is. Each trial of
+    reduce draws a coset, shifts the target by a representative, and hands
+    the solver the sublattice, whose minimum distance is large relative to
+    the shifted distance for a good draw. In paper mode the right prime scale is
     unknown, so one prime just above each power of two is tried per trial;
     the sweep stops once the primes provably exceed the useful window
     (bounded through the Babai distance, with the origin-ball count capped
@@ -422,25 +420,23 @@ class SparsifyReducer(ParamMixin):
             raise ValueError(f"unknown mode {self.mode!r}")
         if basis.rank != basis.ambient:
             raise ValueError("sparsification needs a full-rank lattice")
-        self.scale_ = basis.denominator
-        self.work_ = basis.scaled(self.scale_) if self.scale_ > 1 else basis
+        self.basis_ = basis
         return self
 
     def reduce(self, target):
-        work, scale = self.work_, self.scale_
+        basis = self.basis_
         tau = as_fraction(self.tau)
         inner = _solver(self.inner)
-        t = as_fraction_vector(target, work.ambient)
-        tw = tuple(scale * x for x in t) if scale > 1 else t
+        t = as_fraction_vector(target, basis.ambient)
 
         if self.mode == "oracle":
-            opt_sq = closest_vector(work, tw)[2]
-            counted = _ball_count(work, tau * tau * opt_sq)
+            opt_sq = closest_vector(basis, t)[2]
+            counted = _ball_count(basis, tau * tau * opt_sq)
             primes = (_next_prime(2 * counted),)
         else:
-            bv, _ = nearest_plane(work, tw)
+            bv, _ = nearest_plane(basis, t)
             try:
-                cap = _ball_count(work, tau * tau * sqdist(bv, tw))
+                cap = _ball_count(basis, tau * tau * sqdist(bv, t))
             except BudgetExceeded:
                 cap = None
             top = _SWEEP if cap is None else min(_SWEEP, max(1, (2 * cap).bit_length()))
@@ -450,22 +446,21 @@ class SparsifyReducer(ParamMixin):
         produced = False
         for k in range(int(self.trials)):
             for j, p in enumerate(primes):
-                coset = _sample_coset(work, p, stream(self.seed, k, j))
+                coset = _sample_coset(basis, p, stream(self.seed, k, j))
                 y = coset.point()
                 sub = coset.sublattice()
                 try:
-                    w = inner(sub, tuple(a - b for a, b in zip(tw, y)))
+                    w = inner(sub, tuple(a - b for a, b in zip(t, y)))
                 except BudgetExceeded:
                     w = None
                 if w is None:
                     continue
                 cand = tuple(a + b for a, b in zip(sub.vector(w), y))
                 produced = True
-                score = sqdist(cand, tw)
+                score = sqdist(cand, t)
                 if best is None or score < best[0]:
                     best = (score, cand)
         if best is None:
-            cand, _ = nearest_plane(work, tw)
-            best = (sqdist(cand, tw), cand)
-        vec = best[1] if scale == 1 else tuple(x / scale for x in best[1])
-        return SparsifyResult(vec, produced, int(self.trials))
+            cand, _ = nearest_plane(basis, t)
+            best = (sqdist(cand, t), cand)
+        return SparsifyResult(best[1], produced, int(self.trials))

@@ -68,26 +68,15 @@ def test_estimator_tracks_the_exact_density():
         assert adv.f(t) == pytest.approx(exact.f(t), abs=0.05)
 
 
-def test_gradient_and_hessian_match_finite_differences():
+def test_gradient_matches_finite_differences():
     _, adv = small_advice(seed=4)
     t = np.array([0.11, 0.23, -0.31])
     g = adv.grad(t)
-    hess = adv.hessian(t)
     h = 1e-6
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
         assert (adv.f(t + e) - adv.f(t - e)) / (2 * h) == pytest.approx(g[i], abs=1e-5)
-    h = 1e-4
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        for j in range(3):
-            ej = np.zeros(3)
-            ej[j] = h
-            fd = (adv.f(t + e + ej) - adv.f(t + e - ej)
-                  - adv.f(t - e + ej) + adv.f(t - e - ej)) / (4 * h * h)
-            assert fd == pytest.approx(hess[i, j], abs=1e-3)
 
 
 def test_step_moves_toward_the_lattice_point():
@@ -99,8 +88,8 @@ def test_step_moves_toward_the_lattice_point():
     scaled = base.scaled(Fraction(eta))
     adv = generate_advice(scaled, eps, 20000, seed=6)
     t = np.array([0.10, -0.08, 0.06])
-    stepped, vals = adv.step_batch(t)
-    assert adv.clears_guard(t, vals, default_denom_floor(eps))[0]
+    stepped, vals, ok = adv.step_batch(t)
+    assert ok[0] and adv.clears_guard(t, vals, default_denom_floor(eps))[0]
     assert np.linalg.norm(stepped[0]) < 0.5 * np.linalg.norm(t)
 
 
@@ -108,13 +97,13 @@ def test_step_rejects_small_denominators():
     basis = integer_identity(1)
     adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0)
     t = np.array([0.25])
-    out, vals = adv.step_batch(t)
-    assert not adv.clears_guard(t, vals, default_denom_floor(1e-3))[0]
+    out, vals, ok = adv.step_batch(t)
+    assert not ok[0] and not adv.clears_guard(t, vals, default_denom_floor(1e-3))[0]
     assert out[0, 0] == 0.25
     # an explicit floor of zero lets a query at 0.2 through
     t = np.array([0.2])
-    out, vals = adv.step_batch(t, floor=0.0)
-    assert adv.clears_guard(t, vals, 0.0)[0]
+    out, vals, ok = adv.step_batch(t, floor=0.0)
+    assert ok[0] and adv.clears_guard(t, vals, 0.0)[0]
     assert out[0, 0] != 0.2
 
 
@@ -122,14 +111,16 @@ def test_step_batch_freezes_rows_below_the_floor():
     basis = integer_identity(1)
     adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0)
     ts = np.array([[0.05], [0.25]])
-    out, vals = adv.step_batch(ts)
+    out, vals, ok = adv.step_batch(ts)
     floor = default_denom_floor(1e-3)
     assert abs(vals[1]) < floor
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(ok, adv.clears_guard(ts, vals, floor))
     assert out[1, 0] == 0.25
     assert out[0, 0] != 0.05
-    alone, _ = adv.step_batch(np.array([0.05]), floor=0.0)
+    alone, _, _ = adv.step_batch(np.array([0.05]), floor=0.0)
     assert out[0, 0] == pytest.approx(alone[0, 0], abs=1e-14)
-    single, _ = adv.step_batch(np.array([0.05]))
+    single, _, _ = adv.step_batch(np.array([0.05]))
     assert single.shape == (1, 1)
 
 
@@ -207,7 +198,7 @@ def assert_kernel_tracks_reference(adv, ts):
     """f_batch and step_batch over all rows of ts at once, each row against
     the float64 f and grad within kernel_err."""
     fb = adv.f_batch(ts)
-    stepped, vals = adv.step_batch(ts, floor=0.0)
+    stepped, vals, _ = adv.step_batch(ts, floor=0.0)
     for k, t in enumerate(ts):
         err = adv.kernel_err(t)[0]
         f, g = adv.f(t), adv.grad(t)
@@ -260,14 +251,14 @@ def test_kernel_rows_are_bit_identical_in_any_batch(count, n_rows):
     ts = 0.3 * rng.normal(size=(n_rows, adv.basis.ambient))
     ts[2::3] = rng.uniform(-1e6, 1e6, size=ts[2::3].shape)
     fb = adv.f_batch(ts)
-    stepped, vals = adv.step_batch(ts, floor=0.0)
+    stepped, vals, _ = adv.step_batch(ts, floor=0.0)
     perm = rng.permutation(n_rows)
-    s_perm, v_perm = adv.step_batch(ts[perm], floor=0.0)
+    s_perm, v_perm, _ = adv.step_batch(ts[perm], floor=0.0)
     assert np.array_equal(adv.f_batch(ts[perm]), fb[perm])
     assert np.array_equal(s_perm, stepped[perm])
     assert np.array_equal(v_perm, vals[perm])
     for k, t in enumerate(ts):
-        s_one, v_one = adv.step_batch(t, floor=0.0)
+        s_one, v_one, _ = adv.step_batch(t, floor=0.0)
         assert np.array_equal(adv.f_batch(t), fb[k:k + 1])
         assert np.array_equal(s_one, stepped[k:k + 1])
         assert np.array_equal(v_one, vals[k:k + 1])
@@ -336,8 +327,8 @@ def test_a_coefficient_float32_cannot_hold_trips_every_guard():
     assert np.all(err > 2)
     gap = np.abs(adv.f_batch(ts) - [adv.f(t) for t in ts])
     assert np.all(gap <= err)
-    stepped, vals = adv.step_batch(ts, floor=0.0)
-    assert not adv.clears_guard(ts, vals, 0.0).any()
+    stepped, vals, ok = adv.step_batch(ts, floor=0.0)
+    assert not ok.any() and not adv.clears_guard(ts, vals, 0.0).any()
     assert np.array_equal(stepped, ts)
 
 
@@ -399,9 +390,9 @@ def test_kernel_err_is_small_near_the_lattice_and_grows_with_the_target():
 def test_guard_trips_on_a_huge_target():
     _, adv = small_advice()
     t = np.full(3, 1e300)
-    out, vals = adv.step_batch(t)
+    out, vals, ok = adv.step_batch(t)
     assert np.array_equal(out[0], t)
-    assert not adv.clears_guard(t, vals, 0.0)[0]
+    assert not ok[0] and not adv.clears_guard(t, vals, 0.0)[0]
     assert adv.clears_guard(np.zeros(3), adv.f_batch(np.zeros((1, 3))), 0.5)[0]
 
 

@@ -26,6 +26,13 @@ def test_gen_lattice_writes_a_parseable_basis(tmp_path, capsys):
     assert code == 0 and stdout.startswith("2 2")
 
 
+@pytest.mark.parametrize("spec", ("integer-identity:3,bound=4", "random-integer:3,seed=5"))
+def test_gen_lattice_rejects_a_key_its_kind_does_not_take(capsys, spec):
+    code, stdout, stderr = run(capsys, "gen-lattice", "--spec", spec)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and "allowed keys" in stderr
+
+
 def test_preprocess_then_decode_roundtrip(tmp_path, capsys):
     lat = tmp_path / "lat.txt"
     adv = tmp_path / "dec.txt"
@@ -170,6 +177,10 @@ def test_experiment_rejects_bad_configs(tmp_path, capsys):
         ("experiment = decode-success\nbogus = 1\n", "unknown config key"),
         ("experiment = decode-success\nseed = abc\n", "line 2: bad value for 'seed'"),
         ("experiment = decode-success\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
+        ("experiment = decode-success\nlattice = integer-identity:2,bound=3\n",
+         "integer-identity takes no parameter 'bound'"),
+        ("experiment = decode-success\nlattice = random-integer:2,seed=3\n",
+         "random-integer takes no parameter 'seed'"),
     ):
         cfg.write_text(text)
         code, _, err = run(capsys, "experiment", "--config", str(cfg))

@@ -184,19 +184,6 @@ def test_experiment_csv_is_pinned(name):
     assert hashlib.sha256(report.csv().encode()).hexdigest() == want
 
 
-def test_sparsify_audit_runner():
-    report = run_experiment(
-        "experiment = sparsify-audit\n"
-        "lattice = random-integer:3\n"
-        "seed = 4\n"
-        "tau = 1.0\n"
-        "trials = 30\n"
-        "tol.singles = 20\n"
-        "tol.runs = 2\n"
-    )
-    assert report.ok
-
-
 def test_density_grid_covers_the_envelope():
     report = run_experiment(
         "experiment = density-grid\n"

@@ -22,7 +22,7 @@ from latgauss.gaussian import (
     smoothing_parameter,
 )
 from latgauss.generators import checkerboard, integer_identity, random_integer
-from latgauss.lattice import LatticeBasis, lattice_coefficients, project_onto_prefix
+from latgauss.lattice import LatticeBasis, lattice_coefficients, project_away_from_prefix
 from latgauss.rng import stream
 
 # one-dimensional integer-lattice sums at s = 1
@@ -71,7 +71,8 @@ def test_gaussian_mass_far_off_a_lower_rank_span(monkeypatch):
                           (Fraction(1, 3), Fraction(7, 9), Fraction(3, 11), 0)])
     center = (-93446, -6654719, Fraction(9383698597, 2), Fraction(472517, 10))
     m = gaussian_mass(basis, 1.0, center)
-    in_span = gaussian_mass(basis, 1.0, project_onto_prefix(basis, 2, center))
+    off_span = project_away_from_prefix(basis, 2, center)
+    in_span = gaussian_mass(basis, 1.0, tuple(a - b for a, b in zip(center, off_span)))
     assert m.points == in_span.points == 50
     assert m.lower == 0.0 <= m.upper
 
@@ -142,18 +143,6 @@ def test_gradient_and_hessian_match_finite_differences():
             ej[j] = h
             fd = (pg.f(t + e + ej) - pg.f(t + e - ej) - pg.f(t - e + ej) + pg.f(t - e - ej))
             assert fd / (4 * h * h) == pytest.approx(hess[i, j], abs=2e-4)
-
-
-def test_step_contracts_toward_the_nearest_peak():
-    start = np.array([0.04, -0.03])
-    # wide Gaussian: one step at least halves the distance
-    coarse = PeriodicGaussian(integer_identity(2), 1.0)
-    assert np.linalg.norm(coarse.step(start)) < 0.6 * np.linalg.norm(start)
-    # narrow Gaussian (sparse lattice): one step lands on the peak
-    sharp = PeriodicGaussian(integer_identity(2).scaled(2), 1.0)
-    assert np.linalg.norm(sharp.step(2 * start)) < 1e-4
-    with pytest.raises(ValueError):
-        coarse.step(np.array([0.5, 0.5]), floor=0.9)
 
 
 def test_smoothing_parameter_reference_values():

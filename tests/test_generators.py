@@ -1,5 +1,6 @@
 """Lattice fixture generators and the spec-string front end."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,13 +69,13 @@ def test_random_dual_orthogonal_preserves_the_diagonal_lengths():
     assert sorted(sqnorm(r) for r in basis.rows) == sorted(sqnorm(r) for r in rotated.rows)
 
 
-def test_spec_parse_and_str_roundtrip():
+def test_spec_parse_reads_kind_rank_and_params():
     spec = LatticeGeneratorSpec.parse(" checkerboard:8 ")
-    assert spec.kind == "checkerboard" and spec.n == 8
-    assert str(spec) == "checkerboard:8"
+    assert spec == LatticeGeneratorSpec("checkerboard", 8)
     spec = LatticeGeneratorSpec.parse("random-integer:5,bound=3")
-    assert spec.params == (("bound", 3),)
-    assert LatticeGeneratorSpec.parse(str(spec)) == spec
+    assert spec == LatticeGeneratorSpec("random-integer", 5, (("bound", 3),))
+    spec = LatticeGeneratorSpec.parse("random-dual-orthogonal:4, turns=0, bound=2")
+    assert spec.params == (("turns", 0), ("bound", 2))
 
 
 def test_spec_parse_rejects_malformed_strings():
@@ -84,6 +85,17 @@ def test_spec_parse_rejects_malformed_strings():
         LatticeGeneratorSpec.parse("checkerboard")
     with pytest.raises(ValueError):
         LatticeGeneratorSpec.parse("checkerboard:4,bound")
+    # a key the kind's generator does not take, and the seed, which
+    # generate_lattice passes itself
+    for text, allowed in (
+        ("integer-identity:3,bound=4", "[]"),
+        ("checkerboard:4,turns=1", "[]"),
+        ("random-integer:3,seed=5", "['bound']"),
+        ("random-integer:3,turns=2", "['bound']"),
+        ("random-dual-orthogonal:3,seed=1", "['bound', 'turns']"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"allowed keys: {allowed}")):
+            LatticeGeneratorSpec.parse(text)
 
 
 def test_generate_lattice_dispatch():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from latgauss.advice import generate_advice
 from latgauss.enumeration import closest_vector, enumerate_ball
-from latgauss.generators import checkerboard, random_integer
+from latgauss.generators import checkerboard, integer_identity, random_integer
 from latgauss.lattice import (
     LatticeBasis,
     _babai_prefix,
@@ -22,7 +22,6 @@ from latgauss.lattice import (
     parse_basis,
     project_away_from_prefix,
     project_lattice,
-    project_onto_prefix,
     sqdist,
     sqnorm,
 )
@@ -140,8 +139,8 @@ def test_projections_split_the_span():
     v = tuple(Fraction(k, 3) for k in (5, -2, 7, 1))
     for k in range(basis.rank + 1):
         away = project_away_from_prefix(basis, k, v)
-        onto = project_onto_prefix(basis, k, v)
-        assert tuple(a + b for a, b in zip(away, onto)) == v
+        onto = tuple(a - b for a, b in zip(v, away))
+        assert not any(project_away_from_prefix(basis, k, onto))
         for row in basis.rows[:k]:
             assert dot(away, row) == 0
 
@@ -250,6 +249,14 @@ def test_non_finite_inputs_fail_at_the_boundary(bad):
     adv = generate_advice(basis, 1e-3, 20, seed=0)
     with pytest.raises(ValueError, match="must be finite"):
         adv.f([bad, 0, 0])
+
+
+def test_string_coordinates_with_a_zero_denominator_fail_at_the_boundary():
+    with pytest.raises(ValueError, match="zero denominator"):
+        LatticeBasis([["1/0", 1]])
+    with pytest.raises(ValueError, match="zero denominator"):
+        closest_vector(integer_identity(2), ("1/0", 0))
+    assert LatticeBasis([["1/2", "3"]]).rows == ((Fraction(1, 2), Fraction(3)),)
 
 
 @st.composite

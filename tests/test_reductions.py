@@ -221,8 +221,21 @@ def test_sparse_coset_sample_validates():
     basis = random_integer(2, seed=8)
     with pytest.raises(ValueError):
         sparse_coset_sample(basis, 10, seed=0)
-    with pytest.raises(ValueError):
-        sparse_coset_sample(basis.scaled(Fraction(1, 2)), 11, seed=0)
+    # a rational basis takes the integer basis's coset, at half the scale
+    half = basis.scaled(Fraction(1, 2))
+    coset, rational = sparse_coset_sample(basis, 11, seed=0), sparse_coset_sample(half, 11, seed=0)
+    assert (rational.z, rational.c) == (coset.z, coset.c)
+    assert rational.sublattice().gram_det == half.gram_det * 121
+    assert rational.point() == tuple(x / 2 for x in coset.point())
+    basis = random_integer(3, seed=9)
+    half = basis.scaled(Fraction(1, 2))
+    t = frac_vector((11, -6, 3), 8)
+    for mode in ("oracle", "paper"):
+        on_half = SparsifyReducer(seed=3, trials=4, mode=mode).fit(half).reduce(t)
+        on_basis = SparsifyReducer(seed=3, trials=4, mode=mode).fit(basis).reduce(
+            tuple(2 * x for x in t))
+        assert on_half.ok == on_basis.ok
+        assert on_half.vector == tuple(x / 2 for x in on_basis.vector)
 
 
 @pytest.mark.parametrize("mode", ("oracle", "paper"))
