@@ -3,11 +3,10 @@
 The preprocessing stage draws vectors from the discrete Gaussian on the
 dual lattice at the smoothing width. Averaging cosines over those draws
 estimates the periodic Gaussian density of the primal lattice; the matching
-sine average estimates its gradient. Every
-draw keeps its exact integer coefficient record, and its float coordinates
-are derived from it, so membership stays exact. The decoder file written by
-BddDecoder.save is the only file format for advice; it reloads to a
-bit-identical evaluator.
+sine average estimates its gradient. Every draw keeps its exact integer
+coefficient record, and its float coordinates are derived from it, so
+membership stays exact. The decoder file written by BddDecoder.save is the
+only file format for advice; it reloads to a bit-identical evaluator.
 """
 
 import math
@@ -84,7 +83,8 @@ class GaussianAdvice:
     equals 1 on it, and for draws at the smoothing width it concentrates
     around the true periodic Gaussian.
 
-    f and grad evaluate in float64 over vectors and are the reference. The batched f_batch and step_batch reduce each target once:
+    f and grad evaluate in float64 over vectors and are the reference. The
+    batched f_batch and step_batch reduce each target once:
     u_k = <b*_k, t> mod 1 over the n dual rows b*_k, so that every phase
     2 pi <w_i, t> is congruent mod 2 pi to the integer combination
     sum_k c_ik 2 pi u_k. They round each 2 pi u_k to a multiple of 2^-q,

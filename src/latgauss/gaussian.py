@@ -186,7 +186,6 @@ class PeriodicGaussian:
         return np.cos(2.0 * _PI * (ts @ self._w.T)) @ self._weights
 
 
-
 @dataclass(frozen=True)
 class SmoothingResult:
     """Bisection output: lower <= eta_eps(L) <= upper."""

@@ -89,39 +89,41 @@ def _params(kind):
 
 @dataclass(frozen=True)
 class LatticeGeneratorSpec:
-    """A generator name, the rank, and extra keyword parameters."""
+    """A generator name, the rank, and extra keyword parameters.
+
+    The keys are the generator's keyword parameters; seed is not one of
+    them, as generate_lattice passes it.
+    """
 
     kind: str
     n: int
     params: tuple = ()
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown lattice kind {self.kind!r}; choices: {sorted(_KINDS)}")
+        allowed = [k for k in _params(self.kind) if k != "seed"]
+        for key, _ in self.params:
+            if key not in allowed:
+                raise ValueError(
+                    f"{self.kind} takes no parameter {key!r}; allowed keys: {allowed}"
+                )
+
     @classmethod
     def parse(cls, text):
-        """Parse 'kind:n' or 'kind:n,key=value,...'.
-
-        The keys are the generator's keyword parameters; seed is not one of
-        them, as generate_lattice passes it.
-        """
+        """Parse 'kind:n' or 'kind:n,key=value,...'."""
         head, _, rest = text.strip().partition(":")
         kind = head.strip()
-        if kind not in _KINDS:
-            raise ValueError(f"unknown lattice kind {kind!r}; choices: {sorted(_KINDS)}")
         if not rest:
             raise ValueError(f"lattice spec {text!r} is missing the rank, e.g. {kind}:8")
         parts = [p.strip() for p in rest.split(",")]
         n = int(parts[0])
-        allowed = tuple(k for k in _params(kind) if k != "seed")
         params = []
         for p in parts[1:]:
             key, _, val = p.partition("=")
             if not val:
                 raise ValueError(f"bad lattice parameter {p!r}; want key=value")
-            key = key.strip()
-            if key not in allowed:
-                raise ValueError(
-                    f"{kind} takes no parameter {key!r}; allowed keys: {list(allowed)}"
-                )
-            params.append((key, int(val)))
+            params.append((key.strip(), int(val)))
         return cls(kind, n, tuple(params))
 
 

@@ -396,14 +396,14 @@ class SparsifyReducer(ParamMixin):
     cosets and searches work on a rational basis as it is. Each trial of
     reduce draws a coset, shifts the target by a representative, and hands
     the solver the sublattice, whose minimum distance is large relative to
-    the shifted distance for a good draw. In paper mode the right prime scale is
-    unknown, so one prime just above each power of two is tried per trial;
-    the sweep stops once the primes provably exceed the useful window
-    (bounded through the Babai distance, with the origin-ball count capped
-    by the enumeration budget). In oracle mode (for audits) the exact
-    distance fixes N = |L within tau*dist of the origin| and a single prime
-    in [2N, 8N]. reduce returns a SparsifyResult; when every solver call
-    fails it holds the Babai point with ok False.
+    the shifted distance for a good draw. In paper mode the right prime
+    scale is unknown, so one prime just above each power of two is tried
+    per trial; the sweep stops once the primes provably exceed the useful
+    window (bounded through the Babai distance, with the origin-ball count
+    capped by the enumeration budget). In oracle mode (for audits) the
+    exact distance fixes N = |L within tau*dist of the origin| and a single
+    prime in [2N, 8N]. reduce returns a SparsifyResult; when every solver
+    call fails it holds the Babai point with ok False.
     """
 
     def __init__(self, tau=1.0, inner=None, mode="paper", trials=1, seed=0):

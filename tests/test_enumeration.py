@@ -76,6 +76,7 @@ def test_enumerate_ball_rank_zero():
     ball = enumerate_ball(empty, (Fraction(1, 2), 0), Fraction(1))
     assert len(ball) == 1
     assert ball.exact_sqdist(0) == Fraction(1, 4)
+    assert ball.points_float().tolist() == [[0.0, 0.0]]
 
 
 @pytest.mark.parametrize("seed", (4, 5, 6, 7))

@@ -81,6 +81,8 @@ def test_gaussian_mass_rank_zero():
     empty = LatticeBasis([], ambient=2)
     m = gaussian_mass(empty, center=(1, 0))
     assert m.lower == m.upper == pytest.approx(math.exp(-math.pi))
+    draws = sample_lattice_gaussian(empty, count=3)
+    assert draws.vectors_float().tolist() == [[0.0, 0.0]] * 3
 
 
 def test_periodic_gaussian_reference_values():

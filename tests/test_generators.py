@@ -96,6 +96,8 @@ def test_spec_parse_rejects_malformed_strings():
     ):
         with pytest.raises(ValueError, match=re.escape(f"allowed keys: {allowed}")):
             LatticeGeneratorSpec.parse(text)
+    with pytest.raises(ValueError, match=re.escape("allowed keys: []")):
+        LatticeGeneratorSpec("integer-identity", 3, (("bound", 4),))
 
 
 def test_generate_lattice_dispatch():
