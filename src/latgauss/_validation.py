@@ -25,8 +25,20 @@ def as_fraction(x):
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
+# a token's decimal exponent may be at most this in size: Fraction builds
+# 10^exponent exactly (0.2 s for 1e1000000); a float repr needs at most 324
+_MAX_EXPONENT = 1000
+
+
 def parse_fraction(token):
-    """Exact rational from a file token; ValueError on any malformed one."""
+    """Exact rational from a file token; ValueError on any malformed one and
+    on a decimal exponent past _MAX_EXPONENT in size."""
+    try:
+        exponent = abs(int(token.lower().partition("e")[2] or 0))
+    except ValueError:
+        exponent = 0  # malformed; Fraction rejects the token below
+    if exponent > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {token!r} is past {_MAX_EXPONENT} in size")
     try:
         return Fraction(token)
     except ZeroDivisionError:
@@ -48,7 +60,10 @@ def as_fraction_matrix(rows):
 
 
 def as_float_vector(v, length=None):
-    arr = np.asarray([float(x) for x in v], dtype=np.float64)
+    try:
+        arr = np.asarray([float(x) for x in v], dtype=np.float64)
+    except OverflowError:
+        raise ValueError("vector entries must be finite in float64") from None
     if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     if length is not None and arr.shape != (length,):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ._validation import as_float_vector, as_integer, check_count, check_eps
+from .enumeration import _float_points
 from .gaussian import sample_lattice_gaussian, smoothing_parameter
 from .rng import stream
 
@@ -50,16 +51,6 @@ def _integer_coefficients(coeffs, rank):
     if raw.max() > _EXACT_COEFF or raw.min() < -_EXACT_COEFF:
         raise ValueError("advice coefficients must be at most 2^53 in size")
     return raw.astype(np.int64, copy=False)
-
-
-def _float_vectors(basis, coeffs):
-    """Float64 coordinates of the draws with coefficient rows coeffs over
-    basis.dual: the transpose of the n x N product, column-major.
-
-    Every float view of the draws goes through this one product, so the
-    reference, the frame prescreen and the frame rows agree bit for bit.
-    """
-    return (basis.dual.float_rows.T @ coeffs.T.astype(np.float64)).T
 
 
 def default_denom_floor(eps):
@@ -137,22 +128,17 @@ class GaussianAdvice:
 
     @property
     def vectors(self):
-        """Float64 coordinates of the draws, column-major, derived on each
-        call from the coefficients."""
-        return _float_vectors(self.basis, self.coeffs)
+        """Float64 coordinates of the draws, derived on each call from the
+        coefficients by the one product the decoder's frame rows also use."""
+        return _float_points(self.basis.dual, self.coeffs)
 
     def dual_vector(self, i):
         """Exact coordinates of the i-th draw."""
         return self.basis.dual.vector([int(c) for c in self.coeffs[i]])
 
     def _reference(self, t):
-        """Row-major draws and their float64 phases 2 pi <w_i, t>.
-
-        BLAS sums each product in an order set by the layout, so the
-        reference runs on a row-major copy of vectors: that order is the
-        one the estimator-error experiment's CSV digest pins.
-        """
-        w = np.ascontiguousarray(self.vectors)
+        """The draws and their float64 phases 2 pi <w_i, t>."""
+        w = self.vectors
         return w, 2.0 * _PI * (w @ as_float_vector(t, self.basis.ambient))
 
     def f(self, t):
@@ -306,10 +292,8 @@ class GaussianAdvice:
 def generate_advice(basis, eps, count, seed, eta=None):
     """count i.i.d. draws from the dual Gaussian at the smoothing width.
 
-    The sampling width is eta_eps(L*) computed here unless eta is given;
-    BddDecoder.fit, which has already normalized its lattice, passes
-    eta=1.0 so the two stay consistent. Randomness comes from the (seed, 0)
-    stream.
+    The sampling width is eta_eps(L*), computed here unless eta is given.
+    Randomness comes from the (seed, 0) stream.
     """
     eps = check_eps(eps, upper=1.0 / 200.0)
     count = check_count("count", count)

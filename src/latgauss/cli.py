@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._validation import as_fraction_vector
+from ._validation import as_float_vector, as_fraction_vector
 from .decoder import BddDecoder, FrameAbort
 from .enumeration import BudgetExceeded
 from .experiments import parse_config, run_experiment
@@ -52,7 +52,7 @@ def _cmd_preprocess(args):
 def _cmd_decode(args):
     dec = BddDecoder.load(args.advice)
     target = as_fraction_vector(args.target.replace(",", " ").split(), dec.basis_.ambient)
-    res = dec.decode([float(x) for x in target], trace=args.trace)
+    res = dec.decode(as_float_vector(target), trace=args.trace)
     print("vector = " + " ".join(str(x) for x in res.vector))
     if res.coeffs is not None:
         print("coeffs = " + " ".join(str(c) for c in res.coeffs))

@@ -1,11 +1,12 @@
 """Bounded-distance decoding by gradient ascent on the estimated density.
 
-fit computes the smoothing parameter of the dual lattice, rescales the
-lattice so that parameter equals 1, draws dual Gaussian advice, and picks
-the first short linearly independent advice vectors together with their
-exact biorthogonal frame. decode rescales the target, runs a fixed number
-of guarded ascent steps on the estimator, rounds the iterate against the
-frame, and maps the result back to original units. Membership of the
+fit computes the smoothing parameter eta of the dual lattice, draws dual
+Gaussian advice at width eta, rescales the lattice by eta (so that the
+parameter equals 1), and picks the first short linearly independent advice
+vectors together with their exact biorthogonal frame. decode rescales the
+target, runs a fixed number of guarded ascent steps on the estimator,
+rounds the iterate against the frame, and maps the result back to original
+units. Membership of the
 output is checked exactly, so a claimed-exact result is always a true
 lattice point.
 
@@ -21,17 +22,14 @@ import numpy as np
 
 from ._estimator import ParamMixin
 from ._validation import check_count, check_eps, parse_fraction
-from .advice import (
-    GaussianAdvice,
-    _float_vectors,
-    advice_count,
-    generate_advice,
-)
-from .gaussian import decoding_width, smoothing_parameter
+from .advice import GaussianAdvice, advice_count
+from .enumeration import _float_points
+from .gaussian import decoding_width, sample_lattice_gaussian, smoothing_parameter
 from .lattice import LatticeBasis, format_basis, parse_basis, sqnorm
 # lattice_coefficients is no longer called here; it stays importable from this
 # module because the benchmark's tracer self-test looks it up here
 from .lattice import lattice_coefficients  # noqa: F401
+from .rng import stream
 
 EXACT = "exact-claimed"
 GUARD = "denominator-guard"
@@ -126,7 +124,7 @@ def _frame_indices(advice):
     screen = float(n) * (1.0 + 1e-9) + 1e-9
     chosen = []
     for lo in range(0, len(advice), _SCREEN_CHUNK_ROWS):
-        w = _float_vectors(advice.basis, advice.coeffs[lo:lo + _SCREEN_CHUNK_ROWS])
+        w = _float_points(advice.basis.dual, advice.coeffs[lo:lo + _SCREEN_CHUNK_ROWS])
         sq = np.einsum("ij,ij->i", w, w)
         for i in (lo + np.flatnonzero(sq <= screen)).tolist():
             if sqnorm(advice.dual_vector(i)) > n:
@@ -234,32 +232,38 @@ class BddDecoder(ParamMixin):
         self.seed = seed
 
     def fit(self, basis):
-        """Preprocess the lattice: smoothing, normalization, advice, frame."""
+        """Preprocess the lattice: smoothing, advice, normalization, frame.
+
+        D_{L*,eta} has the coefficient law of D_{(eta L)*,1}, so the advice
+        is drawn on the input dual, whose exact arithmetic stays small.
+        """
         eps = check_eps(self.eps, upper=1.0 / 200.0)
         if basis.rank == 0:
             raise ValueError("cannot decode against a rank-0 lattice")
-        eta = smoothing_parameter(basis.dual, eps)
-        scale = Fraction(eta.value)
+        eta = smoothing_parameter(basis.dual, eps).value
         count = self.n_advice
         if count is None:
             count = advice_count(basis.rank, eps)
-        advice = generate_advice(
-            basis.scaled(scale), eps, check_count("n_advice", count), self.seed, eta=1.0
+        draws = sample_lattice_gaussian(
+            basis.dual, s=eta, count=check_count("n_advice", count), rng=stream(self.seed, 0)
         )
-        self._set_state(basis, scale, advice, _frame_indices(advice), eta=eta)
+        self._set_state(basis, Fraction(eta), draws.coeffs)
         return self
 
-    def _set_state(self, basis, scale, advice, idx, frame=None, eta=None):
-        """Fitted state from the advice (drawn on basis scaled by scale).
+    def _set_state(self, basis, scale, coeffs, stored=None):
+        """Fitted state from advice coefficient rows over basis.dual, which
+        are also the rows over the dual of basis scaled by scale.
 
-        idx picks the frame draws, whose coefficient rows over the dual
-        basis form C. The frame is the dual of those draws, and its
-        coefficients over the basis are C^-T, the dual of the basis with
-        rows C. fit passes no frame; load passes the stored one, which must
-        equal the dual exactly (a row is in the span and biorthogonal to
-        the draws only then), so a corrupted file fails loudly instead of
-        mis-decoding quietly.
+        fit passes no stored frame, and the frame draws are picked here; load
+        passes the file's (indices, frame rows), and the frame must equal
+        the dual of the draws it names exactly (a row is in the span and
+        biorthogonal to the draws only then), so a corrupted file fails
+        loudly instead of mis-decoding quietly. The frame draws' coefficient
+        rows form C, and the frame's coefficients over the basis are C^-T,
+        the dual of the basis with rows C.
         """
+        advice = GaussianAdvice(basis.scaled(scale), coeffs, self.eps, self.seed)
+        idx, frame = (_frame_indices(advice), None) if stored is None else stored
         draws = [[int(c) for c in advice.coeffs[i]] for i in idx]
         vstar = LatticeBasis([basis.dual.vector(c) for c in draws], ambient=basis.ambient)
         if frame is not None and LatticeBasis(frame, ambient=basis.ambient) != vstar.dual:
@@ -267,14 +271,13 @@ class BddDecoder(ParamMixin):
         over_basis = LatticeBasis(draws).dual._frame
         s_eps, dmax = decoding_width(advice.eps)
         self.basis_ = basis
-        self.eta_ = eta
         self.scale_ = scale
         self.advice_ = advice
         self.vstar_indices_ = tuple(int(i) for i in idx)
         self.vstar_ = vstar
         self.frame_ = vstar.dual
         self._frame_num, self._frame_den = over_basis.rows, over_basis.d
-        self._vstar_float = _float_vectors(advice.basis, advice.coeffs[list(self.vstar_indices_)])
+        self._vstar_float = _float_points(advice.basis.dual, advice.coeffs[list(idx)])
         self.iterations_ = iteration_count(basis.rank, advice.eps)
         self.radius_ = dmax * s_eps / float(scale)
 
@@ -376,9 +379,7 @@ class BddDecoder(ParamMixin):
         """Rebuild a fitted decoder from save output.
 
         The stored frame is verified against the advice rows it references
-        (see _set_state). The smoothing certificate is not stored; eta_ is
-        None on a loaded decoder and the recorded scale stands in for its
-        value.
+        (see _set_state).
         """
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -411,6 +412,5 @@ class BddDecoder(ParamMixin):
             raise ValueError(f"decoder file must end with {n} frame rows")
         frame_rows = [[parse_fraction(t) for t in lines[pos + i].split()] for i in range(n)]
         dec = cls(eps=eps, n_advice=count, seed=seed)
-        advice = GaussianAdvice(basis.scaled(scale), coeffs, eps, seed)
-        dec._set_state(basis, scale, advice, idx, frame_rows)
+        dec._set_state(basis, scale, coeffs, (idx, frame_rows))
         return dec

@@ -87,6 +87,23 @@ def test_malformed_targets_exit_with_status_2(tmp_path, capsys, target):
         assert stderr.startswith("error:")
 
 
+def test_targets_past_float64_or_the_exponent_bound_exit_with_status_2(tmp_path, capsys):
+    # 1e400 is exact but has no float64 value for the decoder; 1e1000000 is
+    # past the exponent bound for both verbs
+    lat = tmp_path / "lat.txt"
+    adv = tmp_path / "dec.txt"
+    basis = random_dual_orthogonal(2, seed=4)
+    write_basis(lat, basis)
+    BddDecoder(1e-3, n_advice=500, seed=4).fit(basis).save(adv)
+    code, stdout, stderr = run(capsys, "decode", "--advice", str(adv), "--target", "1e400,0")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error:") and "finite" in stderr
+    for verb in (("reduce", "kannan", "--lattice", str(lat)), ("decode", "--advice", str(adv))):
+        code, _, stderr = run(capsys, *verb, "--target", "1e1000000,0")
+        assert code == 2
+        assert stderr.startswith("error:") and "exponent" in stderr
+
+
 @pytest.mark.parametrize("budget", ("5", "0", "1e7"))
 def test_budget_errors_exit_with_status_2(tmp_path, capsys, monkeypatch, budget):
     # "5" stops the search at its sixth node; the others are not positive integers

@@ -207,6 +207,23 @@ def test_save_load_roundtrip_preserves_decoding(tmp_path):
         assert a.status == b.status
 
 
+def test_load_restores_every_fitted_attribute(tmp_path):
+    # fit and load reach the fitted state by one path: the same fitted
+    # attribute names, with equal exact values (advice by its exact record)
+    _, dec = fitted(n=3, seed=7, n_advice=1200)
+    path = tmp_path / "decoder.txt"
+    dec.save(path)
+    back = BddDecoder.load(path)
+
+    def fitted_state(d):
+        state = {k: v for k, v in vars(d).items() if k.endswith("_")}
+        a = state.pop("advice_")
+        state["advice_"] = (a.basis, a.coeffs.shape, a.coeffs.tobytes(), a.eps, a.seed)
+        return state
+
+    assert fitted_state(back) == fitted_state(dec)
+
+
 def test_load_rejects_a_corrupted_frame(tmp_path):
     _, dec = fitted(n=2, seed=8, n_advice=600)
     path = tmp_path / "decoder.txt"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latgauss._validation import parse_fraction
 from latgauss.advice import generate_advice
 from latgauss.enumeration import closest_vector, enumerate_ball
 from latgauss.generators import checkerboard, integer_identity, random_integer
@@ -257,6 +258,26 @@ def test_string_coordinates_with_a_zero_denominator_fail_at_the_boundary():
     with pytest.raises(ValueError, match="zero denominator"):
         closest_vector(integer_identity(2), ("1/0", 0))
     assert LatticeBasis([["1/2", "3"]]).rows == ((Fraction(1, 2), Fraction(3)),)
+
+
+@pytest.mark.parametrize("token", ["1e1001", "1E-1001", "-2.5e+1_000_000", "1e1000000"])
+def test_exponents_past_1000_in_size_fail_at_the_boundary(token):
+    # Fraction would build 10^exponent exactly, for as long as that takes
+    with pytest.raises(ValueError, match="exponent"):
+        parse_fraction(token)
+    with pytest.raises(ValueError, match="exponent"):
+        LatticeBasis([[token, 1]])
+
+
+@pytest.mark.parametrize("value", [1e-6, 1.0000000000000001e-05, 5e-324, 1.7976931348623157e308,
+                                   Fraction(10**300 + 1, 3**200), Fraction(-7, 2**60)])
+def test_every_token_the_package_writes_parses_back(value):
+    # repr of a float eps and str of a Fraction are the tokens in the files
+    if isinstance(value, float):
+        assert float(parse_fraction(repr(value))) == value
+    else:
+        assert parse_fraction(str(value)) == value
+    assert parse_fraction("1e1000") == 10**1000 and parse_fraction("1e-1000") == Fraction(1, 10**1000)
 
 
 @st.composite
