@@ -6,9 +6,8 @@ parameter equals 1), and picks the first short linearly independent advice
 vectors together with their exact biorthogonal frame. decode rescales the
 target, runs a fixed number of guarded ascent steps on the estimator,
 rounds the iterate against the frame, and maps the result back to original
-units. Membership of the
-output is checked exactly, so a claimed-exact result is always a true
-lattice point.
+units. Membership of the output is checked exactly, so a claimed-exact
+result is always a true lattice point.
 
 save writes the decoder file: the basis, the advice rows and the frame,
 all exact. It is the only file format for advice.

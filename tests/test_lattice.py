@@ -269,15 +269,14 @@ def test_exponents_past_1000_in_size_fail_at_the_boundary(token):
         LatticeBasis([[token, 1]])
 
 
-@pytest.mark.parametrize("value", [1e-6, 1.0000000000000001e-05, 5e-324, 1.7976931348623157e308,
-                                   Fraction(10**300 + 1, 3**200), Fraction(-7, 2**60)])
-def test_every_token_the_package_writes_parses_back(value):
-    # repr of a float eps and str of a Fraction are the tokens in the files
-    if isinstance(value, float):
-        assert float(parse_fraction(repr(value))) == value
-    else:
-        assert parse_fraction(str(value)) == value
-    assert parse_fraction("1e1000") == 10**1000 and parse_fraction("1e-1000") == Fraction(1, 10**1000)
+@pytest.mark.parametrize("token", [
+    # repr of a float eps and str of a Fraction are the tokens in the files;
+    # the last two sit on the bound
+    repr(1e-6), repr(1.0000000000000001e-05), repr(5e-324), repr(1.7976931348623157e308),
+    str(Fraction(10**300 + 1, 3**200)), str(Fraction(-7, 2**60)), "1e1000", "-1E-1_000",
+])
+def test_every_token_the_package_writes_parses_back(token):
+    assert parse_fraction(token) == Fraction(token)
 
 
 @st.composite
