@@ -14,6 +14,7 @@ from latgauss.enumeration import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     _budget,
+    _points_within,
     closest_vector,
     complete_to_unimodular,
     enumerate_ball,
@@ -27,10 +28,13 @@ from latgauss.lattice import (
     LatticeBasis,
     lattice_coefficients,
     nearest_plane,
+    project_away_from_prefix,
     project_lattice,
     sqdist,
     sqnorm,
 )
+
+from latgauss.rng import stream
 
 from conftest import box_cvp, frac_vector
 
@@ -252,3 +256,47 @@ def test_closest_vector_keeps_its_answer_at_large_coordinates(scale):
         assert moved == near_ball.coeffs.tolist()
         assert ([ball.exact_sqdist(i) for i in range(len(ball))]
                 == [near_ball.exact_sqdist(i) for i in range(len(near_ball))])
+
+
+def _rational_centre_cases():
+    """(basis, centre, radius) triples with rational centres: integer and
+    rational full-rank bases, a lower-rank rational basis with off-span
+    centres, a centre past int64 coefficients, and tail projections of a
+    rank-8 HKZ basis, whose denominators push scoring onto Python integers."""
+    for seed in (1, 2):
+        basis = random_integer(4, seed=seed)
+        rng = stream(seed, 9)
+        yield basis, (0,) * 4, 15
+        for _ in range(3):
+            yield basis, frac_vector(rng.integers(-80, 81, size=4), 8), Fraction(29, 2)
+    basis = random_integer(3, seed=3).scaled(Fraction(2, 3))
+    for t in ((1, Fraction(-5, 6), Fraction(7, 4)), (Fraction(11, 6), 0, Fraction(-1, 9))):
+        yield basis, t, 4
+    basis = LatticeBasis([(-1, -1, Fraction(2, 7), Fraction(-1, 4)),
+                          (Fraction(1, 3), Fraction(7, 9), Fraction(3, 11), 0)])
+    for t in ((Fraction(3, 5), 2, -1, Fraction(1, 10)), (-7, Fraction(9, 4), 5, Fraction(-2, 3))):
+        yield basis, t, 3
+    basis = random_integer(4, seed=0)
+    point = basis.vector((10**20, -3 * 10**19, 7, 10**20 + 1))
+    yield basis, tuple(p + o for p, o in zip(point, frac_vector((5, -9, 13, 2), 16))), 8
+    hkz = hkz_reduce(random_integer(8, seed=700))
+    rng = stream(107, 0)
+    for i in (2, 4, 6, 7):
+        t = frac_vector(rng.integers(-64, 65, size=8), 16)
+        yield project_lattice(hkz, i), project_away_from_prefix(hkz, i, t), 9
+
+
+def test_searches_on_rational_centres_are_pinned():
+    # every BallPoints field of the ball and of the nearest-point search
+    # that closest_vector reads, with the arrays' dtypes
+    def fields(ball):
+        return (str(ball.coeffs.dtype), ball.coeffs.tolist(), str(ball.scaled_sqdist.dtype),
+                ball.scaled_sqdist.tolist(), ball.scale_sq, ball.nodes)
+
+    outs = []
+    for basis, centre, radius in _rational_centre_cases():
+        outs.append((fields(enumerate_ball(basis, centre, radius)),
+                     fields(_points_within(basis, centre, None, nearest=True)),
+                     closest_vector(basis, centre)))
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+    assert digest == "6d65878d6586ca2013fe911c5efe76fcb876af2ebc37d6a68e86572555d8592f"

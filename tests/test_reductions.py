@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latgauss.enumeration import BudgetExceeded, closest_vector, hkz_reduce
@@ -76,21 +77,50 @@ def test_reducers_return_the_pinned_vectors():
     assert kan.get_params()["alpha"] == Fraction(1, 2)
 
 
-def test_rank8_reducer_outputs_are_pinned():
-    # the first four reduce-r8 bases (seeds 700-703) with four targets each,
-    # drawn as the benchmark draws them at workload seed 7; repr keeps the
-    # Fraction type of every coordinate
-    outs = []
+def _rank8_cases():
+    """The first four reduce-r8 bases (seeds 700-703), each with the four
+    targets the benchmark draws for it at workload seed 7."""
     for b in range(4):
-        basis = random_integer(8, seed=700 + b)
         rng = stream(107, b)
-        targets = [frac_vector(rng.integers(-64, 65, size=8), 16) for _ in range(4)]
+        yield (random_integer(8, seed=700 + b),
+               [frac_vector(rng.integers(-64, 65, size=8), 16) for _ in range(4)])
+
+
+def test_rank8_reducer_outputs_are_pinned():
+    # repr keeps the Fraction type of every coordinate
+    outs = []
+    for basis, targets in _rank8_cases():
         reds = (KannanReducer(alpha=Fraction(1, 2)).fit(basis),
                 MasterReducer(g=1, h=0, alpha=Fraction(1, 2)).fit(basis),
                 PromiseReducer().fit(basis))
         outs.append([red.reduce(t) for t in targets for red in reds])
     digest = hashlib.sha256(repr(outs).encode()).hexdigest()
     assert digest == "69b0eb4b5afdcf0275f9513d1d24ec63b3c3d0d2662d0cc8b66dea9c8d7cd8e4"
+
+
+@pytest.mark.parametrize("h, want", [
+    (1, "31cd5ebcc779e8cf56168be8ba6d2d29ad10a7b88d1e1ebe45d6c662bcf644d1"),
+    (2, "b049d2d89ee0fc9e5043eb6d0cd723dfabcf6697409ae8b4f2286b4bfa5f5f97"),
+])
+def test_rank8_master_outputs_with_longer_chains_are_pinned(h, want):
+    # bases 700, 702 and 703 cut at 4-7 indices, so h = 1 and h = 2 chain
+    # block answers across cuts; base 701 cuts only at 8 and 0. The targets
+    # lie within 4 of the origin, where most block answers are zero, so each
+    # is also taken moved by a lattice point, and the residual targets the
+    # solver is queried on are pinned with the outputs
+    outs, queries = [], []
+
+    def recording(sub, target):
+        queries.append(target)
+        return closest_vector(sub, target)[1]
+
+    for b, (basis, targets) in enumerate(_rank8_cases()):
+        rng = stream(207, b)
+        moved = [tuple(a + p for a, p in zip(t, basis.vector(rng.integers(-9, 10, size=8))))
+                 for t in targets]
+        red = MasterReducer(g=1, h=h, alpha=Fraction(1, 2), inner=recording).fit(basis)
+        outs.append([red.reduce(t) for t in targets + moved])
+    assert hashlib.sha256(repr((outs, queries)).encode()).hexdigest() == want
 
 
 def test_reducers_with_an_off_by_one_solver_return_the_pinned_vectors():
@@ -107,6 +137,54 @@ def test_reducers_with_an_off_by_one_solver_return_the_pinned_vectors():
     assert KannanReducer(inner=shifted).fit(basis).reduce(t) == scan
     assert PromiseReducer(inner=shifted).fit(basis).reduce(t) == scan
     assert MasterReducer(h=1, inner=shifted).fit(basis).reduce(t) == (3, -2, 1, 2, 9, 2)
+
+
+_SCAN_REDUCERS = {
+    "kannan": lambda: KannanReducer(alpha=Fraction(1, 2)),
+    "master-h0": lambda: MasterReducer(h=0),
+    "master-h1": lambda: MasterReducer(h=1),
+    "promise": PromiseReducer,
+}
+
+
+def _broken(answer, how):
+    """A solver answer that breaks the contract in one way."""
+    return {
+        "half": (Fraction(1, 2),) + answer[1:],
+        "float": (1.5,) + answer[1:],
+        "short": answer[:-1],
+        "long": answer + (0,),
+    }[how]
+
+
+@pytest.mark.parametrize("how", ["half", "float", "short", "long"])
+@pytest.mark.parametrize("name", sorted(_SCAN_REDUCERS))
+def test_a_solver_answer_outside_the_contract_raises(name, how):
+    # a non-integral coefficient or a tail of the wrong length must not be
+    # rounded or truncated into a lattice member; random_integer(5, seed=2)
+    # cuts at every index, so master's h = 1 chains answers across cuts
+    basis = random_integer(5, seed=2)
+    t = frac_vector((9, -5, 14, 3, -7), 4)
+
+    def solver(sub, target):
+        return _broken(closest_vector(sub, target)[1], how)
+
+    red = _SCAN_REDUCERS[name]().fit(basis).set_params(inner=solver)
+    with pytest.raises(ValueError):
+        red.reduce(t)
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_REDUCERS))
+def test_numpy_integer_answers_are_accepted(name):
+    basis = random_integer(5, seed=2)
+    t = frac_vector((9, -5, 14, 3, -7), 4)
+
+    def solver(sub, target):
+        return np.array(closest_vector(sub, target)[1], dtype=np.int64)
+
+    red = _SCAN_REDUCERS[name]().fit(basis)
+    want = red.reduce(t)
+    assert red.set_params(inner=solver).reduce(t) == want
 
 
 def test_kannan_rejects_nonpositive_alpha():
