@@ -77,14 +77,30 @@ class _Frame:
         """D_i, with D_-1 = 1."""
         return self.dets[i] if i >= 0 else 1
 
-    def project(self, k, v):
-        """D_{k-1} times the integer vector v projected away from R_0..R_{k-1}."""
+    def projections(self, k, v):
+        """[P_0, ..., P_k]: P_j is D_{j-1} times the integer vector v projected
+        away from R_0..R_{j-1}, each from the one before it."""
+        out = [v]
         p, prev = v, 1
         for w, det in zip(self.w[:k], self.dets):
             g = sum(map(mul, v, w))
             p = tuple((det * a - g * b) // prev for a, b in zip(p, w))
             prev = det
-        return p
+            out.append(p)
+        return out
+
+    def project(self, k, v):
+        """D_{k-1} times the integer vector v projected away from R_0..R_{k-1}."""
+        return self.projections(k, v)[-1]
+
+    def subtract_rows(self, t, s, coeffs, start=0):
+        """t - s * sum_j coeffs[j] R_{start+j} for integer coefficients: a
+        lattice vector taken off an integer vector t = L x, with s = L / d."""
+        for c, row in zip(coeffs, self.rows[start:]):
+            if c:
+                step = c * s
+                t = [a - step * b for a, b in zip(t, row)]
+        return t
 
     def mu_num(self, i, j):
         """<R_i, W_j>, the numerator of mu_ij over D_j."""
@@ -301,23 +317,22 @@ def nearest_plane(basis, target):
     Rounds half-integer Gram-Schmidt coordinates to even, which makes the
     output deterministic; the squared error is at most sum(||b*_i||^2)/4.
     """
-    t = as_fraction_vector(target, basis.ambient)
-    coeffs = _babai_prefix(basis, basis.rank, t)
+    f = basis._frame
+    big, t = _clear(as_fraction_vector(target, basis.ambient), f.d)
+    coeffs = _babai_prefix(f, basis.rank, t, big // f.d)[0]
     return basis.vector(coeffs), coeffs
 
 
-def _babai_prefix(basis, k, target):
-    """Nearest-plane coefficients over the first k basis rows.
+def _babai_prefix(f, k, t, s):
+    """Nearest-plane coefficients over the first k rows of frame f, and the residual.
 
-    The prefix shares its Gram-Schmidt data with the full basis, and only
-    the components of the target inside the prefix span influence the
-    rounding, so no explicit projection is needed. With T = L t and
-    s = L / d, the coordinate at row i is <T, W_i> / (s D_i), rounded half
-    to even, and the residual update is T -= c s R_i.
+    t is the target cleared to integers, T = L t with L = s d. The prefix
+    shares its Gram-Schmidt data with the full basis, and only the
+    components of the target inside the prefix span influence the rounding,
+    so no explicit projection is needed. The coordinate at row i is
+    <T, W_i> / (s D_i), rounded half to even, and the residual update is
+    T -= c s R_i, which leaves L (t - y) for the nearest-plane point y.
     """
-    f = basis._frame
-    big, t = _clear(target, f.d)
-    s = big // f.d
     coeffs = [0] * k
     for i in range(k - 1, -1, -1):
         c = _round_half_even(sum(map(mul, t, f.w[i])), s * f.dets[i])
@@ -325,7 +340,7 @@ def _babai_prefix(basis, k, target):
             coeffs[i] = c
             step = c * s
             t = [a - step * b for a, b in zip(t, f.rows[i])]
-    return tuple(coeffs)
+    return tuple(coeffs), t
 
 
 def sqnorm(v):

@@ -29,10 +29,13 @@ to the target distance.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from ._estimator import ParamMixin
-from ._validation import as_fraction, as_fraction_vector, check_count, check_positive
+from ._validation import as_fraction, as_fraction_vector, as_integer, check_count, check_positive
 from .decoder import EXACT, BddDecoder, bdd_param_plan
 from .enumeration import (
     BudgetExceeded,
@@ -44,6 +47,7 @@ from .enumeration import (
 from .lattice import (
     LatticeBasis,
     _babai_prefix,
+    _clear,
     lattice_coefficients,
     nearest_plane,
     project_away_from_prefix,
@@ -92,26 +96,44 @@ def _solver(inner):
     return inner if inner is not None else oracle_inner()
 
 
-def _complete(hkz, t, tails):
+def _answer(coeffs, rank):
+    """A solver's coefficients as ints, or None for a failure.
+
+    Raises ValueError for a coefficient without an integer value or a
+    count other than rank, so no answer is rounded or cut into a member.
+    """
+    if coeffs is None:
+        return None
+    coeffs = tuple(map(as_integer, coeffs))
+    if len(coeffs) != rank:
+        raise ValueError(f"the solver returned {len(coeffs)} coefficients for rank {rank}")
+    return coeffs
+
+
+def _complete(hkz, big, t, tails):
     """Lift each cut's answer, complete it with Babai below the cut; nearest wins.
 
-    tails yields (i, tail) pairs: tail holds the coefficients of hkz rows
-    i..n-1 found at cut i, or None when the solver failed there. The cut
+    t is the target cleared to integers over the frame, T = L t with
+    L = big. tails yields (i, tail) pairs: tail holds the integer
+    coefficients of hkz rows i..n-1 found at cut i, or None when the solver
+    failed there. The tail's rows come off T and the Babai prefix rounds
+    the rest, which leaves the candidate's residual L (t - cand) in
+    integers; its squared norm is L^2 times the squared distance, so the
+    first least one is the nearest candidate, and only it is built. The cut
     at i = n (tail ()) is the plain Babai point, so with it among the cuts
-    a vector is always returned. Distances are compared exactly.
+    a vector is always returned.
     """
+    f = hkz._frame
+    s = big // f.d
     best = None
     for i, tail in tails:
         if tail is None:
             continue
-        tail = tuple(tail)
-        y = hkz.vector((0,) * i + tail)
-        head = _babai_prefix(hkz, i, tuple(a - b for a, b in zip(t, y)))
-        cand = hkz.vector(head + tail)
-        score = sqdist(cand, t)
+        head, resid = _babai_prefix(f, i, f.subtract_rows(t, s, tail, i), s)
+        score = sum(map(mul, resid, resid))
         if best is None or score < best[0]:
-            best = (score, cand)
-    return best[1]
+            best = (score, head + tail)
+    return hkz.vector(best[1])
 
 
 def _levels(hkz):
@@ -120,13 +142,37 @@ def _levels(hkz):
 
 
 def _scan(hkz, levels, target, inner):
-    """Query the solver on every tail projection, then complete the answers."""
-    t = as_fraction_vector(target, hkz.ambient)
-    tails = (
-        (i, () if level.rank == 0 else inner(level, project_away_from_prefix(hkz, i, t)))
-        for i, level in enumerate(levels)
-    )
-    return _complete(hkz, t, tails)
+    """Query the solver on every tail projection, then complete the answers.
+
+    The level targets come from one pass of the frame's projection
+    recurrence over the cleared target, one step per cut.
+    """
+    f = hkz._frame
+    big, t = _clear(as_fraction_vector(target, hkz.ambient), f.d)
+
+    def tails():
+        # the last level has rank 0: its cut is the plain Babai point
+        for i, (level, p) in enumerate(zip(levels[:-1], f.projections(hkz.rank - 1, t))):
+            den = big * f.det(i - 1)
+            yield i, _answer(inner(level, tuple(Fraction(x, den) for x in p)), level.rank)
+        yield hkz.rank, ()
+
+    return _complete(hkz, big, t, tails())
+
+
+# the default HKZ basis of each basis object a reducer is fitted on, dropped
+# with that object: Kannan and Master reducers fitted on one basis share it,
+# and an equal basis built afresh computes its own
+_HKZ = {}
+
+
+def _default_hkz(basis):
+    key = id(basis)
+    hkz = _HKZ.get(key)
+    if hkz is None:
+        hkz = _HKZ[key] = hkz_reduce(basis)
+        weakref.finalize(basis, _HKZ.pop, key)
+    return hkz
 
 
 class KannanReducer(ParamMixin):
@@ -146,7 +192,7 @@ class KannanReducer(ParamMixin):
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        self.hkz_ = hkz_reduce(basis)
+        self.hkz_ = _default_hkz(basis)
         self.levels_ = _levels(self.hkz_)
         return self
 
@@ -205,7 +251,7 @@ class MasterReducer(ParamMixin):
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        hkz = hkz_reduce(basis)
+        hkz = _default_hkz(basis)
         idx = _master_indices(hkz, self.g, self.h)
         r = int(self.h) + 1
         self.hkz_ = hkz
@@ -230,9 +276,10 @@ class MasterReducer(ParamMixin):
         them.
         """
         hkz, idx = self.hkz_, self.indices_
+        f = hkz._frame
         inner = _solver(self.inner)
         r = int(self.h) + 1
-        t = as_fraction_vector(target, hkz.ambient)
+        big, t = _clear(as_fraction_vector(target, hkz.ambient), f.d)
         tails = []
         for k, ik in enumerate(idx):
             prev = tails[k - r] if k > r else ()
@@ -240,11 +287,13 @@ class MasterReducer(ParamMixin):
             if prev is None or ik == hkz.rank:
                 tails.append(prev)
                 continue
-            y = hkz.vector((0,) * (hkz.rank - len(prev)) + prev)
-            resid = project_away_from_prefix(hkz, ik, tuple(a - b for a, b in zip(t, y)))
-            w = inner(self.blocks_[k], resid)
-            tails.append(None if w is None else tuple(w) + prev)
-        return _complete(hkz, t, zip(idx, tails))
+            resid = f.subtract_rows(t, big // f.d, prev, hkz.rank - len(prev))
+            den = big * f.det(ik - 1)
+            block = self.blocks_[k]
+            w = _answer(inner(block, tuple(Fraction(x, den) for x in f.project(ik, resid))),
+                        block.rank)
+            tails.append(None if w is None else w + prev)
+        return _complete(hkz, big, t, zip(idx, tails))
 
 
 class PromiseReducer(ParamMixin):

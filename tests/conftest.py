@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -34,6 +35,25 @@ def box_cvp(basis, target, bound):
 
 def frac_vector(ints, den):
     return tuple(Fraction(int(v), den) for v in ints)
+
+
+@st.composite
+def rational_cases(draw):
+    """(rows, target): a rational basis of rank <= 6 with denominators 1-16
+    and a target with coordinates up to 1e15, or with a planted exact tie
+    t = b_0 / 2 + (integer combination of the other rows)."""
+    rank = draw(st.integers(1, 6))
+    ambient = draw(st.integers(rank, 6))
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 16))
+    rows = [tuple(draw(entry) for _ in range(ambient)) for _ in range(rank)]
+    if draw(st.booleans()):
+        ks = [Fraction(1, 2)] + [draw(st.integers(-3, 3)) for _ in range(rank - 1)]
+        target = tuple(sum((k * r[j] for k, r in zip(ks, rows)), Fraction(0))
+                       for j in range(ambient))
+    else:
+        coord = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 16))
+        target = tuple(draw(coord) for _ in range(ambient))
+    return rows, target
 
 
 # Rational reference routines: Gram-Schmidt, nearest plane, projection and

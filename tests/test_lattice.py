@@ -16,6 +16,7 @@ from latgauss.generators import checkerboard, integer_identity, random_integer
 from latgauss.lattice import (
     LatticeBasis,
     _babai_prefix,
+    _clear,
     _span_coefficients,
     format_basis,
     lattice_coefficients,
@@ -28,6 +29,7 @@ from latgauss.lattice import (
 )
 
 from conftest import (
+    rational_cases,
     reference_babai_prefix,
     reference_gram_schmidt,
     reference_inverse,
@@ -279,25 +281,6 @@ def test_every_token_the_package_writes_parses_back(token):
     assert parse_fraction(token) == Fraction(token)
 
 
-@st.composite
-def rational_cases(draw):
-    """(rows, target): a rational basis of rank <= 6 with denominators 1-16
-    and a target with coordinates up to 1e15, or with a planted exact tie
-    t = b_0 / 2 + (integer combination of the other rows)."""
-    rank = draw(st.integers(1, 6))
-    ambient = draw(st.integers(rank, 6))
-    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 16))
-    rows = [tuple(draw(entry) for _ in range(ambient)) for _ in range(rank)]
-    if draw(st.booleans()):
-        ks = [Fraction(1, 2)] + [draw(st.integers(-3, 3)) for _ in range(rank - 1)]
-        target = tuple(sum((k * r[j] for k, r in zip(ks, rows)), Fraction(0))
-                       for j in range(ambient))
-    else:
-        coord = st.builds(Fraction, st.integers(-10**15, 10**15), st.integers(1, 16))
-        target = tuple(draw(coord) for _ in range(ambient))
-    return rows, target
-
-
 def _ball_reference(rows, target, coeffs_ref):
     """(radius, {coeffs: sqdist}): a rational radius just above the Babai
     distance and the ball around the target at that radius, by brute force
@@ -342,8 +325,14 @@ def test_frame_matches_the_rational_reference(case):
     assert repr(basis.gram_schmidt) == repr(type(basis.gram_schmidt)(ortho, mu, sq))
     assert basis.gram_det == math.prod(sq, start=Fraction(1))
     n = basis.rank
+    f = basis._frame
+    big, cleared = _clear(target, f.d)
     for k in range(n + 1):
-        assert _babai_prefix(basis, k, target) == reference_babai_prefix(rows, k, target)
+        coeffs, resid = _babai_prefix(f, k, cleared, big // f.d)
+        assert coeffs == reference_babai_prefix(rows, k, target)
+        near = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                for j in range(len(target))]
+        assert resid == [big * (a - y) for a, y in zip(target, near)]
         assert (repr(project_away_from_prefix(basis, k, target))
                 == repr(reference_project_away(rows, k, target)))
     vec, coeffs = nearest_plane(basis, target)

@@ -1,28 +1,42 @@
 """Approximate-CVP reductions, coset sparsification, primality guards."""
 
+import gc
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from latgauss.enumeration import BudgetExceeded, closest_vector, hkz_reduce
 from latgauss.generators import integer_identity, random_integer
-from latgauss.lattice import LatticeBasis, lattice_coefficients, nearest_plane, sqdist
+from latgauss.lattice import LatticeBasis, _clear, lattice_coefficients, nearest_plane, sqdist
 from latgauss.reductions import (
+    _HKZ,
     KannanReducer,
     MasterReducer,
     PromiseReducer,
     SparseCoset,
     SparsifyReducer,
+    _complete,
     _is_prime,
+    _levels,
     _master_indices,
+    _scan,
     bdd_inner,
     sparse_coset_sample,
 )
 from latgauss.rng import stream
 
-from conftest import frac_vector
+from conftest import (
+    frac_vector,
+    rational_cases,
+    reference_babai_prefix,
+    reference_gram_schmidt,
+    reference_project_away,
+)
 
 
 def diag(vals):
@@ -185,6 +199,104 @@ def test_numpy_integer_answers_are_accepted(name):
     red = _SCAN_REDUCERS[name]().fit(basis)
     want = red.reduce(t)
     assert red.set_params(inner=solver).reduce(t) == want
+
+
+def _independent(rows):
+    return all(sq != 0 for sq in reference_gram_schmidt(rows)[2])
+
+
+@given(rational_cases())
+def test_scan_queries_each_level_on_its_reference_projection(case):
+    # the one-pass level targets, on full-rank and lower-rank rational bases
+    rows, target = case
+    assume(_independent(rows))
+    basis = LatticeBasis(rows)
+    seen = []
+
+    def recording(level, t):
+        seen.append(t)
+        return (0,) * level.rank
+
+    _scan(basis, _levels(basis), target, recording)
+    assert repr(seen) == repr([reference_project_away(rows, i, target)
+                               for i in range(basis.rank)])
+
+
+def _combination(rows, coeffs, ambient):
+    return tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                 for j in range(ambient))
+
+
+def _reference_complete(rows, target, tails):
+    """Lift each tail, run reference_babai_prefix below its cut and score by
+    exact sqdist, all in Fractions; the first least candidate wins."""
+    m = len(target)
+    best = None
+    for i, tail in tails:
+        if tail is None:
+            continue
+        y = _combination(rows, (0,) * i + tail, m)
+        head = reference_babai_prefix(rows, i, tuple(a - b for a, b in zip(target, y)))
+        cand = _combination(rows, head + tail, m)
+        score = sqdist(cand, target)
+        if best is None or score < best[0]:
+            best = (score, cand)
+    return best[1]
+
+
+def _run_complete(basis, target, tails):
+    f = basis._frame
+    big, t = _clear(target, f.d)
+    return _complete(basis, big, t, tails)
+
+
+@st.composite
+def completion_cases(draw):
+    """(rows, target, tails): a rational case with a random answer or None
+    at every cut below the rank, and the Babai cut, in either order."""
+    rows, target = draw(rational_cases())
+    n = len(rows)
+    tails = [(i, draw(st.none() | st.tuples(*[st.integers(-3, 3)] * (n - i))))
+             for i in range(n)]
+    tails.append((n, ()))
+    if draw(st.booleans()):
+        tails.reverse()
+    return rows, target, tails
+
+
+@given(completion_cases())
+def test_complete_picks_the_reference_candidate(case):
+    rows, target, tails = case
+    assume(_independent(rows))
+    got = _run_complete(LatticeBasis(rows), target, tails)
+    assert repr(got) == repr(_reference_complete(rows, target, tails))
+
+
+def test_complete_keeps_the_first_of_tied_candidates():
+    # each cut's candidate lies at squared distance 3/4 from the deep hole
+    basis = integer_identity(3)
+    t = (Fraction(1, 2),) * 3
+    cuts = [(0, (1, 0, 0)), (1, (1, 1)), (2, (1,)), (3, ())]
+    outs = set()
+    for order in itertools.permutations(cuts):
+        got = _run_complete(basis, t, order)
+        assert got == _reference_complete(basis.rows, t, order)
+        outs.add(got)
+    assert len(outs) == 4
+
+
+def test_kannan_and_master_fitted_on_one_basis_share_its_hkz_basis():
+    basis = random_integer(4, seed=5)
+    kan = KannanReducer().fit(basis)
+    assert MasterReducer().fit(basis).hkz_ is kan.hkz_
+    # an equal basis built afresh and the solver-built HKZ stay apart
+    assert KannanReducer().fit(random_integer(4, seed=5)).hkz_ is not kan.hkz_
+    assert PromiseReducer().fit(basis).hkz_ is not kan.hkz_
+    key = id(basis)
+    assert key in _HKZ
+    del basis
+    gc.collect()
+    assert key not in _HKZ
 
 
 def test_kannan_rejects_nonpositive_alpha():
