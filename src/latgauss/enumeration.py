@@ -123,9 +123,9 @@ def _search(mu, bstar2, tau, bound, budget, emit):
             advance(i)
 
 
-def _prepare(basis, center):
-    """Integer rows and centre over d = lcm(basis denominator, centre's), and
-    the float search data read from the basis frame.
+def _prepare(basis, d, center_int):
+    """Integer rows over d, a multiple of the basis denominator, and the float
+    search data for the centre cleared over d, read from the basis frame.
 
     The b*_i are orthogonal, so the centre's coordinates need no running
     residual, and its off-span square is <C, P> / D_{n-1} for the frame
@@ -134,7 +134,6 @@ def _prepare(basis, center):
     """
     f = basis._frame
     n = basis.rank
-    d, center_int = _clear(center, f.d)
     k = d // f.d
     rows_int = f.rows if k == 1 else tuple(tuple(x * k for x in r) for r in f.rows)
     bstar2 = [det * k * k / f.det(i - 1) for i, det in enumerate(f.dets)]
@@ -142,7 +141,7 @@ def _prepare(basis, center):
     perp = 0
     if n < basis.ambient:  # a full-rank basis spans every centre
         perp = Fraction(sum(map(mul, center_int, f.project(n, center_int))), f.det(n - 1))
-    return rows_int, center_int, d, f.float_mu, bstar2, tau, perp
+    return rows_int, f.float_mu, bstar2, tau, perp
 
 
 def _exact_sqdists(coeffs, rows_int, center_int):
@@ -228,15 +227,18 @@ def _points_within(basis, center, sq_radius, nearest=False, nonzero=False):
     """
     budget = _budget()
     center = as_fraction_vector(center, basis.ambient)
+    f = basis._frame
     n = basis.rank
-    shift, residual = (0,) * n, center
+    # cleared over d, the residual from the nearest-plane point y is
+    # C - s * sum shift_i R_i with C = d * center and s = d / f.d: the
+    # denominators of y divide the basis's, so d clears the residual too
+    d, center_int = _clear(center, f.d)
+    shift = (0,) * n
     if any(center):
-        near, shift = nearest_plane(basis, center)
-        residual = tuple(a - b for a, b in zip(center, near))
-    if sq_radius is None:
-        sq_radius = sqnorm(residual)
-    rows_int, center_int, d, mu, bstar2, tau, perp = _prepare(basis, residual)
-    r2 = sq_radius * d * d
+        shift = nearest_plane(basis, center)[1]
+        center_int = f.subtract_rows(center_int, d // f.d, shift)
+    rows_int, mu, bstar2, tau, perp = _prepare(basis, d, center_int)
+    r2 = sum(map(mul, center_int, center_int)) if sq_radius is None else sq_radius * d * d
     # the slack scales with the in-span radius only: a centre far off a
     # lower-rank span would otherwise widen the search by sqrt(SLACK) times
     # its off-span distance
@@ -399,35 +401,3 @@ def hkz_reduce(basis, svp=None):
     rows = _size_reduce(LatticeBasis(rows, ambient=basis.ambient))
     return LatticeBasis(rows, ambient=basis.ambient)
 
-
-def shortest_via_promise_cvp(basis, cvp_solver):
-    """Shortest-vector search through closest-vector queries.
-
-    For each basis row b_i, queries the sublattice where the i-th coefficient
-    is doubled with target b_i; the difference b_i - answer is a nonzero
-    lattice vector, and the best one over i is shortest up to the solver's
-    approximation factor. cvp_solver(sublattice, target) returns integer
-    coefficients over the sublattice, or None on failure. Returns the
-    coefficient vector wrt basis.
-    """
-    n = basis.rank
-    best = None
-    for i in range(n):
-        doubled = LatticeBasis(
-            [tuple(2 * x for x in r) if j == i else r for j, r in enumerate(basis.rows)],
-            ambient=basis.ambient,
-        )
-        coeffs = cvp_solver(doubled, basis.rows[i])
-        if coeffs is None:
-            continue
-        full = [-2 * c if j == i else -c for j, c in enumerate(coeffs)]
-        full[i] += 1
-        sq = sqnorm(basis.vector(full))
-        if sq == 0:
-            continue
-        key = (sq, tuple(full))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise RuntimeError("no closest-vector query produced a nonzero vector")
-    return best[1]

@@ -5,10 +5,11 @@ integer coefficients, over ``basis``, of a lattice vector close to the
 target, or None on failure. ``oracle_inner`` wraps the exact enumeration
 solver and never fails; ``bdd_inner`` adapts a fitted decoder, surfacing
 its refusals as None. The reducers build every vector from coefficients,
-so an answer is a lattice member by construction (a non-integer
-coefficient raises ValueError), and they treat a failed level or trial as
-a removed candidate: a partial solver degrades the approximation factor
-instead of the output's validity.
+so an answer is a lattice member by construction: every answer, those
+PromiseReducer.fit asks for included, passes one check that raises
+ValueError for a non-integer coefficient or a wrong count. They treat a
+failed level or trial as a removed candidate: a partial solver degrades
+the approximation factor instead of the output's validity.
 
 Each scheme is an estimator: ``fit(basis)`` prepares the reduced basis
 and the solver lattices once, and ``reduce(target)`` answers a query::
@@ -16,19 +17,22 @@ and the solver lattices once, and ``reduce(target)`` answers a query::
     red = KannanReducer(alpha=Fraction(1, 2), inner=oracle_inner()).fit(basis)
     vec = red.reduce(target)
 
-Three schemes are implemented. The projection scan (KannanReducer, and
-PromiseReducer, which also builds its basis through the solver) queries
-the solver on each tail projection of an HKZ basis, lifts the answer, and
-completes it below the cut with Babai's nearest plane. The block variant
-(MasterReducer) prepares solver state only for short slices of the
-projections, chained by lifting each answer r cuts forward. The
-sparsification scheme restricts to a random index-p sublattice coset so
-that the solver sees a lattice whose minimum distance is large relative
-to the target distance.
+The projection reducers share one cut scan. fit keeps an HKZ basis
+(hkz_), its cut indices (indices_) and one solver lattice per cut
+(blocks_); reduce queries the solver on each block, lifts the answer, and
+completes it below the cut with Babai's nearest plane, and the nearest
+candidate wins. KannanReducer cuts at every index and each block is the
+whole tail projection; PromiseReducer does the same on a basis that it
+also builds through the solver. MasterReducer cuts only where the
+Gram-Schmidt profile grows geometrically and prepares short blocks,
+chained by lifting each answer r cuts forward. The sparsification scheme
+restricts to a random index-p sublattice coset so that the solver sees a
+lattice whose minimum distance is large relative to the target distance.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,13 +41,7 @@ from operator import mul
 from ._estimator import ParamMixin
 from ._validation import as_fraction, as_fraction_vector, as_integer, check_count, check_positive
 from .decoder import EXACT, BddDecoder, bdd_param_plan
-from .enumeration import (
-    BudgetExceeded,
-    _points_within,
-    closest_vector,
-    hkz_reduce,
-    shortest_via_promise_cvp,
-)
+from .enumeration import BudgetExceeded, _points_within, closest_vector, hkz_reduce
 from .lattice import (
     LatticeBasis,
     _babai_prefix,
@@ -51,8 +49,8 @@ from .lattice import (
     lattice_coefficients,
     nearest_plane,
     project_away_from_prefix,
-    project_lattice,
     sqdist,
+    sqnorm,
 )
 from .rng import stream
 
@@ -136,28 +134,53 @@ def _complete(hkz, big, t, tails):
     return hkz.vector(best[1])
 
 
-def _levels(hkz):
-    """The tail projections: entry i projects away the first i rows (rank n-i)."""
-    return tuple(project_lattice(hkz, i) for i in range(hkz.rank + 1))
+def _blocks(hkz, cuts, r=math.inf):
+    """One solver lattice per cut: at c = cuts[k], rows c .. hi - 1 of hkz
+    projected away from the rows before c.
+
+    Cut k > r is chained, and hi is the cut r places back, where the tail
+    that the scan fixes starts. Otherwise hi is the rank, which makes the
+    block the whole tail projection; with r infinite no cut is chained.
+    """
+    n = hkz.rank
+    return tuple(
+        LatticeBasis(
+            [project_away_from_prefix(hkz, c, hkz.rows[j])
+             for j in range(c, cuts[k - r] if k > r else n)],
+            ambient=hkz.ambient,
+        )
+        for k, c in enumerate(cuts)
+    )
 
 
-def _scan(hkz, levels, target, inner):
-    """Query the solver on every tail projection, then complete the answers.
+def _cut_scan(hkz, cuts, blocks, target, inner, r=math.inf):
+    """Query the solver at every cut, then complete the answers in cut order.
 
-    The level targets come from one pass of the frame's projection
-    recurrence over the cleared target, one step per cut.
+    The target is cleared once over the frame. Cut k <= r asks its block,
+    the whole tail projection, about the target projected there, read off
+    one pass of the frame's projection recurrence. A chained cut k > r
+    fixes the rows below its block to the tail found r cuts back, takes
+    them off the target and asks about the projected residual; a failed
+    anchor fails it. The cut at the rank is the plain Babai point, asked of
+    no solver. Ties in _complete go to the earlier cut in this order.
     """
     f = hkz._frame
+    n = hkz.rank
     big, t = _clear(as_fraction_vector(target, hkz.ambient), f.d)
-
-    def tails():
-        # the last level has rank 0: its cut is the plain Babai point
-        for i, (level, p) in enumerate(zip(levels[:-1], f.projections(hkz.rank - 1, t))):
-            den = big * f.det(i - 1)
-            yield i, _answer(inner(level, tuple(Fraction(x, den) for x in p)), level.rank)
-        yield hkz.rank, ()
-
-    return _complete(hkz, big, t, tails())
+    s = big // f.d
+    top = max((c for k, c in enumerate(cuts) if c < n and k <= r), default=0)
+    free = f.projections(top, t)
+    tails = []
+    for k, (c, block) in enumerate(zip(cuts, blocks)):
+        prev = tails[k - r] if k > r else ()
+        if prev is None or c == n:
+            tails.append(prev)
+            continue
+        p = f.project(c, f.subtract_rows(t, s, prev, n - len(prev))) if prev else free[c]
+        den = big * f.det(c - 1)
+        w = _answer(inner(block, tuple(Fraction(x, den) for x in p)), block.rank)
+        tails.append(None if w is None else w + prev)
+    return _complete(hkz, big, t, zip(cuts, tails))
 
 
 # the default HKZ basis of each basis object a reducer is fitted on, dropped
@@ -178,10 +201,12 @@ def _default_hkz(basis):
 class KannanReducer(ParamMixin):
     """Closest-vector approximation through promise queries at every cut.
 
-    fit computes the HKZ basis (hkz_) and its tail projections (levels_).
-    alpha records the promise the inner solver honors (distance below
-    alpha * lambda_1 of each projection); it enters the guarantee, not the
-    computation. With a solver of factor gamma the output is within
+    fit computes the HKZ basis (hkz_), the cuts 0..n (indices_) and one
+    block per cut (blocks_), the whole tail projection; reduce runs the
+    cut scan over them with no chaining. alpha records the promise the
+    inner solver honors (distance below alpha * lambda_1 of each
+    projection); it enters the guarantee, not the computation. With a
+    solver of factor gamma the output is within
     max_i sqrt(gamma(n-i)^2 + i/(4 alpha^2)) of the true distance, taking
     gamma(0) = 0.
     """
@@ -193,11 +218,12 @@ class KannanReducer(ParamMixin):
     def fit(self, basis):
         check_positive("alpha", self.alpha)
         self.hkz_ = _default_hkz(basis)
-        self.levels_ = _levels(self.hkz_)
+        self.indices_ = tuple(range(self.hkz_.rank + 1))
+        self.blocks_ = _blocks(self.hkz_, self.indices_)
         return self
 
     def reduce(self, target):
-        return _scan(self.hkz_, self.levels_, target, _solver(self.inner))
+        return _cut_scan(self.hkz_, self.indices_, self.blocks_, target, _solver(self.inner))
 
 
 def _master_indices(hkz, g, h):
@@ -213,7 +239,7 @@ def _master_indices(hkz, g, h):
     c = as_fraction(g)
     if c < 1:
         raise ValueError("g must be at least 1")
-    h = int(h)
+    h = as_integer(h)
     if not 0 <= h < n:
         raise ValueError(f"h must lie in [0, {n})")
     if h > 1 and c ** (2 * (h - 1)) > n:
@@ -238,7 +264,8 @@ class MasterReducer(ParamMixin):
     rank down to 0) and one block lattice per cut (blocks_). With r = h + 1,
     block k is the projection at cut i_k of rows i_k .. i_{max(k-r,0)} - 1,
     so each row appears in at most r blocks and the block dimensions sum
-    to at most rank * r. Same contract as KannanReducer, but the solver
+    to at most rank * r. reduce runs the cut scan with cut k > r chained to
+    the answer r cuts back. Same contract as KannanReducer, but the solver
     state covers only the blocks; the achieved factor is within
     c * sqrt(n) / (2 alpha) when the solver honors its promise.
     """
@@ -251,60 +278,57 @@ class MasterReducer(ParamMixin):
 
     def fit(self, basis):
         check_positive("alpha", self.alpha)
-        hkz = _default_hkz(basis)
-        idx = _master_indices(hkz, self.g, self.h)
-        r = int(self.h) + 1
-        self.hkz_ = hkz
-        self.indices_ = idx
-        self.blocks_ = tuple(
-            LatticeBasis(
-                [project_away_from_prefix(hkz, ik, hkz.rows[j])
-                 for j in range(ik, idx[max(k - r, 0)])],
-                ambient=hkz.ambient,
-            )
-            for k, ik in enumerate(idx)
-        )
+        self.hkz_ = _default_hkz(basis)
+        self.indices_ = _master_indices(self.hkz_, self.g, self.h)
+        self.blocks_ = _blocks(self.hkz_, self.indices_, as_integer(self.h) + 1)
         return self
 
     def reduce(self, target):
-        """Chain the block answers in coefficient space, then complete them.
+        return _cut_scan(self.hkz_, self.indices_, self.blocks_, target, _solver(self.inner),
+                         as_integer(self.h) + 1)
 
-        For k <= r the block is the whole projection at cut k and the
-        solver answers directly. A deeper cut fixes the rows below its
-        block to the answer from r cuts back and queries the solver on the
-        projected residual; failures propagate to the cuts that depend on
-        them.
-        """
-        hkz, idx = self.hkz_, self.indices_
-        f = hkz._frame
-        inner = _solver(self.inner)
-        r = int(self.h) + 1
-        big, t = _clear(as_fraction_vector(target, hkz.ambient), f.d)
-        tails = []
-        for k, ik in enumerate(idx):
-            prev = tails[k - r] if k > r else ()
-            # the top cut projects to the zero lattice; a failed anchor fails this cut
-            if prev is None or ik == hkz.rank:
-                tails.append(prev)
-                continue
-            resid = f.subtract_rows(t, big // f.d, prev, hkz.rank - len(prev))
-            den = big * f.det(ik - 1)
-            block = self.blocks_[k]
-            w = _answer(inner(block, tuple(Fraction(x, den) for x in f.project(ik, resid))),
-                        block.rank)
-            tails.append(None if w is None else w + prev)
-        return _complete(hkz, big, t, zip(idx, tails))
+
+def _shortest_via_promise_cvp(basis, inner):
+    """Coefficients of a short nonzero vector, found through closest-vector queries.
+
+    For each row b_i, the solver is asked for a point near b_i on the
+    sublattice with the i-th coefficient doubled; b_i minus its answer is a
+    nonzero lattice vector, and the shortest over i (least coefficients on
+    ties) is shortest up to the solver's approximation factor. Every answer
+    passes _answer. Raises RuntimeError when no query gives a nonzero vector.
+    """
+    n = basis.rank
+    best = None
+    for i in range(n):
+        doubled = LatticeBasis(
+            [tuple(2 * x for x in r) if j == i else r for j, r in enumerate(basis.rows)],
+            ambient=basis.ambient,
+        )
+        coeffs = _answer(inner(doubled, basis.rows[i]), n)
+        if coeffs is None:
+            continue
+        full = [-2 * c if j == i else -c for j, c in enumerate(coeffs)]
+        full[i] += 1
+        sq = sqnorm(basis.vector(full))
+        if sq == 0:
+            continue
+        key = (sq, tuple(full))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise RuntimeError("no closest-vector query produced a nonzero vector")
+    return best[1]
 
 
 class PromiseReducer(ParamMixin):
     """Preprocessing-free variant: the solver also builds the reduced basis.
 
     fit builds hkz_ with each projected shortest vector found through
-    closest-vector queries on doubled sublattices (shortest_via_promise_cvp),
-    so an approximate solver yields the relaxed (factor-g) variant, and
-    keeps its tail projections in levels_. The promise here is distance
-    below lambda_1 of each projection. With a factor-g solver the output is
-    within g * sqrt(n+3) / 2 of the true distance.
+    closest-vector queries on doubled sublattices, so an approximate solver
+    yields the relaxed (factor-g) variant; indices_, blocks_ and reduce are
+    KannanReducer's. The promise here is distance below lambda_1 of each
+    projection. With a factor-g solver the output is within
+    g * sqrt(n+3) / 2 of the true distance.
     """
 
     def __init__(self, inner=None):
@@ -312,12 +336,13 @@ class PromiseReducer(ParamMixin):
 
     def fit(self, basis):
         inner = _solver(self.inner)
-        self.hkz_ = hkz_reduce(basis, svp=lambda b: shortest_via_promise_cvp(b, inner))
-        self.levels_ = _levels(self.hkz_)
+        self.hkz_ = hkz_reduce(basis, svp=lambda b: _shortest_via_promise_cvp(b, inner))
+        self.indices_ = tuple(range(self.hkz_.rank + 1))
+        self.blocks_ = _blocks(self.hkz_, self.indices_)
         return self
 
     def reduce(self, target):
-        return _scan(self.hkz_, self.levels_, target, _solver(self.inner))
+        return _cut_scan(self.hkz_, self.indices_, self.blocks_, target, _solver(self.inner))
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -499,7 +524,7 @@ class SparsifyReducer(ParamMixin):
                 y = coset.point()
                 sub = coset.sublattice()
                 try:
-                    w = inner(sub, tuple(a - b for a, b in zip(t, y)))
+                    w = _answer(inner(sub, tuple(a - b for a, b in zip(t, y))), sub.rank)
                 except BudgetExceeded:
                     w = None
                 if w is None:

@@ -11,6 +11,8 @@ settings.register_profile(
     "suite", max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# more examples for the exact-integer layers: pytest --hypothesis-profile thorough
+settings.register_profile("thorough", settings.get_profile("suite"), max_examples=200)
 settings.load_profile("suite")
 
 

@@ -21,7 +21,6 @@ from latgauss.enumeration import (
     hkz_reduce,
     lambda1,
     shortest_vector,
-    shortest_via_promise_cvp,
 )
 from latgauss.generators import checkerboard, integer_identity, random_integer
 from latgauss.lattice import (
@@ -34,6 +33,7 @@ from latgauss.lattice import (
     sqnorm,
 )
 
+from latgauss.reductions import _shortest_via_promise_cvp
 from latgauss.rng import stream
 
 from conftest import box_cvp, frac_vector
@@ -199,7 +199,7 @@ def test_shortest_via_promise_cvp_with_exact_solver():
     def solver(sub, target):
         return closest_vector(sub, target)[1]
 
-    coeffs = shortest_via_promise_cvp(basis, solver)
+    coeffs = _shortest_via_promise_cvp(basis, solver)
     assert sqnorm(basis.vector(coeffs)) == lambda1(basis)
 
 

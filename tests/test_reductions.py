@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,12 @@ from latgauss.reductions import (
     PromiseReducer,
     SparseCoset,
     SparsifyReducer,
+    _blocks,
     _complete,
+    _cut_scan,
     _is_prime,
-    _levels,
     _master_indices,
-    _scan,
+    _shortest_via_promise_cvp,
     bdd_inner,
     sparse_coset_sample,
 )
@@ -153,11 +155,12 @@ def test_reducers_with_an_off_by_one_solver_return_the_pinned_vectors():
     assert MasterReducer(h=1, inner=shifted).fit(basis).reduce(t) == (3, -2, 1, 2, 9, 2)
 
 
-_SCAN_REDUCERS = {
+_SOLVER_REDUCERS = {
     "kannan": lambda: KannanReducer(alpha=Fraction(1, 2)),
     "master-h0": lambda: MasterReducer(h=0),
     "master-h1": lambda: MasterReducer(h=1),
     "promise": PromiseReducer,
+    "sparsify": lambda: SparsifyReducer(mode="oracle"),
 }
 
 
@@ -172,7 +175,7 @@ def _broken(answer, how):
 
 
 @pytest.mark.parametrize("how", ["half", "float", "short", "long"])
-@pytest.mark.parametrize("name", sorted(_SCAN_REDUCERS))
+@pytest.mark.parametrize("name", sorted(_SOLVER_REDUCERS) + ["promise-fit"])
 def test_a_solver_answer_outside_the_contract_raises(name, how):
     # a non-integral coefficient or a tail of the wrong length must not be
     # rounded or truncated into a lattice member; random_integer(5, seed=2)
@@ -183,12 +186,34 @@ def test_a_solver_answer_outside_the_contract_raises(name, how):
     def solver(sub, target):
         return _broken(closest_vector(sub, target)[1], how)
 
-    red = _SCAN_REDUCERS[name]().fit(basis).set_params(inner=solver)
+    if name == "promise-fit":
+        # a solver set before fit also builds the HKZ basis
+        with pytest.raises(ValueError):
+            PromiseReducer(inner=solver).fit(basis)
+        return
+    red = _SOLVER_REDUCERS[name]().fit(basis).set_params(inner=solver)
     with pytest.raises(ValueError):
         red.reduce(t)
 
 
-@pytest.mark.parametrize("name", sorted(_SCAN_REDUCERS))
+def test_a_half_step_on_the_doubled_coefficient_raises_during_fit():
+    # b_i minus the answer stays integral when the answer is off by one half
+    # on the doubled row, so only the answer check stops the float
+    basis = random_integer(3, seed=6, bound=4)
+
+    def solver(lattice, target):
+        coeffs = list(closest_vector(lattice, target)[1])
+        i = next(j for j, (a, b) in enumerate(zip(lattice.rows, basis.rows)) if a != b)
+        coeffs[i] += 0.5
+        return coeffs
+
+    with pytest.raises(ValueError):
+        _shortest_via_promise_cvp(basis, solver)
+    with pytest.raises(ValueError):
+        PromiseReducer(inner=solver).fit(basis)
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVER_REDUCERS))
 def test_numpy_integer_answers_are_accepted(name):
     basis = random_integer(5, seed=2)
     t = frac_vector((9, -5, 14, 3, -7), 4)
@@ -196,7 +221,7 @@ def test_numpy_integer_answers_are_accepted(name):
     def solver(sub, target):
         return np.array(closest_vector(sub, target)[1], dtype=np.int64)
 
-    red = _SCAN_REDUCERS[name]().fit(basis)
+    red = _SOLVER_REDUCERS[name]().fit(basis)
     want = red.reduce(t)
     assert red.set_params(inner=solver).reduce(t) == want
 
@@ -205,21 +230,43 @@ def _independent(rows):
     return all(sq != 0 for sq in reference_gram_schmidt(rows)[2])
 
 
+def _answer_at(q, rank):
+    """The recording solver's q-th answer: nonzero, or a failure every fourth."""
+    return None if q % 4 == 0 else tuple((q + j) % 3 - 1 for j in range(rank))
+
+
 @given(rational_cases())
 def test_scan_queries_each_level_on_its_reference_projection(case):
-    # the one-pass level targets, on full-rank and lower-rank rational bases
+    # r infinite is the Kannan scan: every cut from 0 up, each on the target's
+    # one-pass projection. r = h + 1 is the Master scan at h = 0 and h = 1,
+    # cut at every index from the rank down: a chained cut k > r is queried
+    # on t minus the vector of the tail found at cut k - r, projected away
+    # from the rows before the cut, and a failed anchor skips it
     rows, target = case
     assume(_independent(rows))
     basis = LatticeBasis(rows)
-    seen = []
+    n = basis.rank
+    for r in (math.inf, 1, 2):
+        cuts = tuple(range(n + 1)) if r == math.inf else tuple(range(n, -1, -1))
+        seen = []
 
-    def recording(level, t):
-        seen.append(t)
-        return (0,) * level.rank
+        def recording(block, t):
+            seen.append(t)
+            return _answer_at(len(seen), block.rank)
 
-    _scan(basis, _levels(basis), target, recording)
-    assert repr(seen) == repr([reference_project_away(rows, i, target)
-                               for i in range(basis.rank)])
+        _cut_scan(basis, cuts, _blocks(basis, cuts, r), target, recording, r)
+        want, tails = [], []
+        for k, c in enumerate(cuts):
+            prev = tails[k - r] if k > r else ()
+            if prev is None or c == n:
+                tails.append(prev)
+                continue
+            lifted = _combination(rows, (0,) * (n - len(prev)) + prev, len(target))
+            resid = tuple(a - b for a, b in zip(target, lifted))
+            want.append(reference_project_away(rows, c, resid))
+            w = _answer_at(len(want), n - c - len(prev))
+            tails.append(None if w is None else w + prev)
+        assert repr(seen) == repr(want)
 
 
 def _combination(rows, coeffs, ambient):
@@ -323,6 +370,10 @@ def test_master_indices_validates_parameters():
         _master_indices(basis, 1.0, 4)
     with pytest.raises(ValueError):
         _master_indices(basis, 3.0, 3)
+    with pytest.raises(ValueError):
+        _master_indices(basis, 1.0, 1.5)
+    with pytest.raises(ValueError):
+        MasterReducer(h=1.5).fit(random_integer(4, seed=5))
 
 
 @pytest.mark.parametrize("seed", (1, 2, 5))
