@@ -13,6 +13,7 @@ save writes the decoder file: the basis, the advice rows and the frame,
 all exact. It is the only file format for advice.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,28 +183,6 @@ def _write_rows(fh, coeffs):
                 break
             pos, mag = pos[more] - 1, quot[more]
         fh.write(buf.tobytes().decode("ascii"))
-
-
-def _read_rows(lines, count, width):
-    """Parse exactly count rows of width integers from lines; blank lines are skipped.
-
-    Raises ValueError on a short block, a wrong row or column count, or a
-    token that is not an int64 integer.
-    """
-    if len(lines) < count:
-        raise ValueError(f"file announces {count} coefficient rows but holds {len(lines)}")
-    rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-    if rows.shape != (count, width):
-        raise ValueError(
-            f"expected {count} coefficient rows of {width} integers, got shape {rows.shape}"
-        )
-    return rows
-
-
-def _read_fields(lines, pos, what):
-    if pos >= len(lines):
-        raise ValueError(f"decoder file ends before its {what}")
-    return lines[pos].split()
 
 
 class BddDecoder(ParamMixin):
@@ -377,39 +356,48 @@ class BddDecoder(ParamMixin):
     def load(cls, path):
         """Rebuild a fitted decoder from save output.
 
-        The stored frame is verified against the advice rows it references
-        (see _set_state).
+        The file is read line by line, and the advice block is parsed straight
+        from the open file, so neither the file's text nor a list of its lines
+        is ever held. The stored frame is verified against the advice rows it
+        references (see _set_state).
         """
         with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0].split() != ["latgauss-decoder", "1"]:
-            raise ValueError(f"{path} is not a decoder file")
-        head = _read_fields(lines, 1, "basis")
-        if len(head) != 2:
-            raise ValueError("decoder file basis header must read 'rank ambient'")
-        n = int(head[0])
-        if not 0 < n < len(lines) - 1:
-            raise ValueError(f"decoder file cannot hold a rank-{n} basis")
-        basis = parse_basis("\n".join(lines[1:2 + n]))
-        pos = 2 + n
-        head = _read_fields(lines, pos, "advice header")
-        if len(head) != 5 or head[0] != "advice":
-            raise ValueError("decoder file is missing its advice header")
-        count, eps, seed = check_count("advice count", int(head[1])), float(head[2]), int(head[3])
-        scale = parse_fraction(head[4])
-        pos += 1
-        coeffs = _read_rows(lines[pos:pos + count], count, n)
-        pos += count
-        head = _read_fields(lines, pos, "frame section")
-        if len(head) != 1 + n or head[0] != "frame":
-            raise ValueError("decoder file is missing its frame section")
-        idx = [int(t) for t in head[1:]]
-        if not all(0 <= i < count for i in idx):
-            raise ValueError(f"frame indices must lie in [0, {count})")
-        pos += 1
-        if len(lines) < pos + n or any(line.strip() for line in lines[pos + n:]):
-            raise ValueError(f"decoder file must end with {n} frame rows")
-        frame_rows = [[parse_fraction(t) for t in lines[pos + i].split()] for i in range(n)]
+            if fh.readline().split() != ["latgauss-decoder", "1"]:
+                raise ValueError(f"{path} is not a decoder file")
+            head = fh.readline()
+            if len(head.split()) != 2:
+                raise ValueError("decoder file basis header must read 'rank ambient'")
+            n = int(head.split()[0])
+            if n <= 0:
+                raise ValueError(f"decoder file cannot hold a rank-{n} basis")
+            basis = parse_basis(head + "".join(itertools.islice(fh, n)))
+            head = fh.readline().split()
+            if len(head) != 5 or head[0] != "advice":
+                raise ValueError("decoder file is missing its advice header")
+            count, eps, seed = check_count("advice count", int(head[1])), float(head[2]), int(head[3])
+            scale = parse_fraction(head[4])
+            # loadtxt skips blank lines, so a blank line among the count lines
+            # leaves the block short; a blank first line is refused here, as
+            # loadtxt only warns about a block with no rows at all
+            first = fh.readline()
+            if not first.strip():
+                raise ValueError("decoder file has no advice row after its advice header")
+            coeffs = np.loadtxt(itertools.chain((first,), itertools.islice(fh, count - 1)),
+                                dtype=np.int64, ndmin=2, comments=None)
+            if coeffs.shape != (count, n):
+                raise ValueError(
+                    f"expected {count} advice rows of {n} integers, got shape {coeffs.shape}"
+                )
+            head = fh.readline().split()
+            if len(head) != 1 + n or head[0] != "frame":
+                raise ValueError("decoder file is missing its frame section")
+            idx = [int(t) for t in head[1:]]
+            if not all(0 <= i < count for i in idx):
+                raise ValueError(f"frame indices must lie in [0, {count})")
+            rows = list(itertools.islice(fh, n))
+            if len(rows) < n or any(line.strip() for line in fh):
+                raise ValueError(f"decoder file must end with {n} frame rows")
+        frame_rows = [[parse_fraction(t) for t in line.split()] for line in rows]
         dec = cls(eps=eps, n_advice=count, seed=seed)
         dec._set_state(basis, scale, coeffs, (idx, frame_rows))
         return dec

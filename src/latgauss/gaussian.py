@@ -312,13 +312,42 @@ def _orthogonal_rows(basis):
     return all(g[i][j] == 0 for i in range(n) for j in range(i + 1, n))
 
 
+# cells of [0, 1) in the inverse-CDF table; a draw whose cell holds no cdf
+# value is settled by one lookup
+_CDF_CELLS = 4096
+_CDF_EDGES = np.arange(_CDF_CELLS + 1) / _CDF_CELLS
+
+
+def _inverse_cdf(rng, p, count):
+    """count indices drawn with probabilities p, equal to
+    rng.choice(len(p), size=count, p=p) index for index.
+
+    Like Generator.choice, it takes u = rng.random(count) and returns
+    #{cdf <= u} for the cumulative sums of p scaled to end at 1. The cell
+    floor(4096 u) of each u is exact, and a cell with no cdf value inside
+    settles every u in it from the table; only the u in the other cells are
+    binary-searched.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    lo = cdf.searchsorted(_CDF_EDGES[:-1], side="right")
+    hi = cdf.searchsorted(_CDF_EDGES[1:], side="left")
+    table = np.where(lo == hi, lo, -1)
+    u = rng.random(count)
+    idx = table[(u * _CDF_CELLS).astype(np.intp)]
+    slow = np.flatnonzero(idx < 0)
+    idx[slow] = cdf.searchsorted(u[slow], side="right")
+    return idx
+
+
 def sample_lattice_gaussian(basis, s=1.0, count=1, rng=None):
     """Draw count points from D_{L,s}, proportional to exp(-pi||y||^2/s^2).
 
     Orthogonal bases factor into independent one-dimensional integer
     Gaussians per coordinate; otherwise the full ball carrying all but
     ~2^-44 of the mass is tabulated, which is only practical in low rank.
-    rng defaults to stream(0).
+    Both draw their indices by one inverse-CDF pass (_inverse_cdf), which
+    gives Generator.choice's draws bit for bit. rng defaults to stream(0).
     """
     s = check_positive("s", s)
     count = check_count("count", count)
@@ -339,7 +368,7 @@ def sample_lattice_gaussian(basis, s=1.0, count=1, rng=None):
             support = np.arange(-j, j + 1)
             w = np.exp(-(_PI / (sigma * sigma)) * support.astype(_LD) ** 2)
             p = (w / w.sum()).astype(np.float64)
-            cols[:, i] = rng.choice(support, size=count, p=p / p.sum())
+            cols[:, i] = _inverse_cdf(rng, p / p.sum(), count) - j
             q1 = _tail_factor(1, j * math.sqrt(2.0 * _PI) / sigma)
             mass *= 1.0 - q1 / (1.0 - q1)
         return GaussianSamples(basis, s, cols, mass, "product")
@@ -349,5 +378,5 @@ def sample_lattice_gaussian(basis, s=1.0, count=1, rng=None):
     ball = enumerate_ball(basis, (0,) * basis.ambient, radius)
     w = _ball_weights(ball, s)
     p = (w / w.sum()).astype(np.float64)
-    idx = rng.choice(len(ball), size=count, p=p / p.sum())
+    idx = _inverse_cdf(rng, p / p.sum(), count)
     return GaussianSamples(basis, s, ball.coeffs[idx], 1.0 - q / (1.0 - q), "table")

@@ -261,11 +261,12 @@ class MasterReducer(ParamMixin):
     """Closest-vector approximation with block-prepared promise queries.
 
     fit computes the HKZ basis (hkz_), the cut indices (indices_, from the
-    rank down to 0) and one block lattice per cut (blocks_). With r = h + 1,
-    block k is the projection at cut i_k of rows i_k .. i_{max(k-r,0)} - 1,
-    so each row appears in at most r blocks and the block dimensions sum
-    to at most rank * r. reduce runs the cut scan with cut k > r chained to
-    the answer r cuts back. Same contract as KannanReducer, but the solver
+    rank down to 0) and one block lattice per cut (blocks_). With r = h + 1
+    (chain_), block k is the projection at cut i_k of rows
+    i_k .. i_{max(k-r,0)} - 1, so each row appears in at most r blocks and
+    the block dimensions sum to at most rank * r. reduce runs the cut scan
+    with cut k > r chained to the answer r cuts back, r read from chain_ so
+    that it always matches the blocks, whatever h holds after fit. Same contract as KannanReducer, but the solver
     state covers only the blocks; the achieved factor is within
     c * sqrt(n) / (2 alpha) when the solver honors its promise.
     """
@@ -280,12 +281,13 @@ class MasterReducer(ParamMixin):
         check_positive("alpha", self.alpha)
         self.hkz_ = _default_hkz(basis)
         self.indices_ = _master_indices(self.hkz_, self.g, self.h)
-        self.blocks_ = _blocks(self.hkz_, self.indices_, as_integer(self.h) + 1)
+        self.chain_ = as_integer(self.h) + 1
+        self.blocks_ = _blocks(self.hkz_, self.indices_, self.chain_)
         return self
 
     def reduce(self, target):
         return _cut_scan(self.hkz_, self.indices_, self.blocks_, target, _solver(self.inner),
-                         as_integer(self.h) + 1)
+                         self.chain_)
 
 
 def _shortest_via_promise_cvp(basis, inner):

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from latgauss import decoder as decoder_module
 from latgauss.decoder import (
     _WRITE_CHUNK_ROWS,
     EXACT,
@@ -515,6 +516,101 @@ def test_load_rejects_trailing_rows(tmp_path):
     path.write_text(path.read_text() + "1 2\n")
     with pytest.raises(ValueError):
         BddDecoder.load(path)
+
+
+class _EofCountingFile:
+    """A text file that counts the reads it answers at the end of the file."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.eof_reads = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = self.readline()
+        if not line:
+            raise StopIteration
+        return line
+
+    def readline(self):
+        line = self.fh.readline()
+        self.eof_reads += not line
+        return line
+
+    def read(self):
+        text = self.fh.read()
+        self.eof_reads += not text
+        return text
+
+
+def _load_counting_eof_reads(monkeypatch, path):
+    """BddDecoder.load(path), which must open one file and reach its end at
+    most once."""
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(_EofCountingFile(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(decoder_module, "open", counting_open, raising=False)
+    try:
+        BddDecoder.load(path)
+    finally:
+        assert len(opened) == 1 and opened[0].eof_reads <= 1
+
+
+def _small_decoder_lines():
+    lines = SMALL_DECODER_TEXT.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("advice "))
+    frame = next(i for i, line in enumerate(lines) if line.startswith("frame "))
+    return lines, head, frame
+
+
+@pytest.mark.parametrize("blank", ["", " \t "])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_load_rejects_a_blank_line_in_the_advice_block(tmp_path, monkeypatch, blank, where):
+    # the block holds exactly the announced rows: a blank line among them
+    # leaves it short, and one after them stands where the frame belongs
+    lines, head, frame = _small_decoder_lines()
+    at = {"start": head + 1, "middle": (head + frame) // 2, "end": frame}[where]
+    lines.insert(at, blank)
+    path = tmp_path / "decoder.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        _load_counting_eof_reads(monkeypatch, path)
+
+
+@pytest.mark.parametrize("line, field, value", [
+    ("advice", 1, str(10**12)),   # advice count past the file
+    ("basis", 0, "999999999"),    # basis rank past the file
+])
+def test_load_rejects_a_size_past_the_file(tmp_path, monkeypatch, line, field, value):
+    # a ValueError after reading at most to the end of the file, with
+    # nothing sized by the announced count
+    lines, head, _ = _small_decoder_lines()
+    at = head if line == "advice" else 1
+    parts = lines[at].split()
+    parts[field] = value
+    lines[at] = " ".join(parts)
+    path = tmp_path / "decoder.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        _load_counting_eof_reads(monkeypatch, path)
+
+
+def test_load_of_a_crlf_copy_gives_an_equal_decoder(tmp_path):
+    crlf, again = tmp_path / "crlf.txt", tmp_path / "again.txt"
+    crlf.write_bytes(SMALL_DECODER_TEXT.replace("\n", "\r\n").encode("ascii"))
+    BddDecoder.load(crlf).save(again)
+    assert again.read_bytes() == SMALL_DECODER_TEXT.encode("ascii")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

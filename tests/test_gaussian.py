@@ -10,10 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from latgauss import gaussian
 from latgauss.enumeration import closest_vector
 from latgauss.gaussian import (
+    _CDF_CELLS,
     PeriodicGaussian,
+    _inverse_cdf,
     decoding_width,
     density_envelope,
     gaussian_mass,
@@ -21,7 +26,12 @@ from latgauss.gaussian import (
     sample_lattice_gaussian,
     smoothing_parameter,
 )
-from latgauss.generators import checkerboard, integer_identity, random_integer
+from latgauss.generators import (
+    checkerboard,
+    integer_identity,
+    random_dual_orthogonal,
+    random_integer,
+)
 from latgauss.lattice import LatticeBasis, lattice_coefficients, project_away_from_prefix
 from latgauss.rng import stream
 
@@ -252,3 +262,79 @@ def test_sampler_moments():
     assert norms.mean() <= s * math.sqrt(n)
     assert norms.max() <= s * (math.sqrt(n) + 6.0)
     assert abs(draws.vectors_float().mean(axis=0)).max() <= 4 * s / math.sqrt(count)
+
+
+def _normalized(w):
+    """The sampler's probabilities: weights normalized in their own
+    precision, rounded to float64 and normalized again."""
+    p = (w / w.sum()).astype(np.float64)
+    return p / p.sum()
+
+
+@st.composite
+def probability_vectors(draw):
+    """Probabilities of every shape the samplers pass: spread weights with
+    zero-mass entries, one dominant entry, or the product path's tail-cut
+    integer Gaussian at a drawn width."""
+    kind = draw(st.sampled_from(("spread", "dominant", "gaussian")))
+    if kind == "gaussian":
+        sigma = draw(st.floats(0.05, 400.0))
+        t1 = 1.0 + math.sqrt(2.0 * math.log(2.0 ** 48))
+        j = max(1, math.ceil(t1 * sigma / math.sqrt(2.0 * math.pi)))
+        support = np.arange(-j, j + 1).astype(np.longdouble)
+        return _normalized(np.exp(-(math.pi / (sigma * sigma)) * support ** 2))
+    d = draw(st.integers(1, 4000))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(d) ** draw(st.integers(1, 40))
+    w[rng.random(d) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
+    if kind == "dominant" or not w.any():
+        w[draw(st.integers(0, d - 1))] = draw(st.floats(1.0, 1e15))
+    return _normalized(w)
+
+
+@given(probability_vectors(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_inverse_cdf_equals_generator_choice(p, count, seed):
+    want = stream(seed).choice(len(p), size=count, p=p)
+    got = _inverse_cdf(stream(seed), p, count)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class _FixedUniforms:
+    """An rng whose random(count) hands out given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, count):
+        assert count == len(self.u)
+        return self.u.copy()
+
+
+@given(probability_vectors(), st.data())
+def test_inverse_cdf_counts_the_cdf_values_at_most_u_on_cell_edges(p, data):
+    # u placed on cell edges, on cdf values and one ulp either side of them,
+    # where a wrongly settled cell would show
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    edges = np.arange(_CDF_CELLS) / _CDF_CELLS
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), edges,
+                           np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    near = near[(near >= 0.0) & (near < 1.0)]
+    pick = data.draw(st.lists(st.integers(0, len(near) - 1), min_size=1, max_size=200))
+    u = near[pick]
+    got = _inverse_cdf(_FixedUniforms(u), p, len(u))
+    assert np.array_equal(got, (cdf[None, :] <= u[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("basis, method", [
+    (random_dual_orthogonal(3, seed=5), "product"),
+    (random_integer(3, seed=5), "table"),
+])
+def test_sampler_matches_a_generator_choice_reference(monkeypatch, basis, method):
+    got = sample_lattice_gaussian(basis, s=1.5, count=500, rng=stream(9))
+    monkeypatch.setattr(gaussian, "_inverse_cdf",
+                        lambda rng, p, count: rng.choice(len(p), size=count, p=p))
+    want = sample_lattice_gaussian(basis, s=1.5, count=500, rng=stream(9))
+    assert got.method == want.method == method
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.mass_covered == want.mass_covered

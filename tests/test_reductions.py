@@ -395,6 +395,22 @@ def test_master_blocks_project_the_expected_rows():
             assert red.blocks_[k].rank == hi - ik
 
 
+def test_master_set_params_after_fit_keeps_the_fitted_chain():
+    # the chain distance is fitted with the blocks, so an h set after fit
+    # takes effect at the next fit, not halfway through the scan; a scan
+    # chained at h = 2 over the h = 0 blocks raises on the last two targets,
+    # where a tail shorter than its cut wins
+    basis = random_integer(5, seed=2)
+    red = MasterReducer(g=1.0, h=0).fit(basis)
+    targets = targets_for(basis, 2) + [
+        frac_vector((-32, 1, 17, 35, 16), 1),
+        frac_vector((19, 43, 11, -1, 76), 2),
+    ]
+    before = [red.reduce(t) for t in targets]
+    red.set_params(h=2)
+    assert [red.reduce(t) for t in targets] == before
+
+
 def test_kannan_with_a_bdd_inner_solver():
     basis = integer_identity(3)
     red = KannanReducer(alpha=Fraction(15, 100), inner=bdd_inner(alpha=0.15, seed=2))
