@@ -364,13 +364,13 @@ class BddDecoder(ParamMixin):
         with open(path, encoding="ascii") as fh:
             if fh.readline().split() != ["latgauss-decoder", "1"]:
                 raise ValueError(f"{path} is not a decoder file")
-            head = fh.readline()
-            if len(head.split()) != 2:
+            head = fh.readline().split()
+            if len(head) != 2:
                 raise ValueError("decoder file basis header must read 'rank ambient'")
-            n = int(head.split()[0])
+            n = int(head[0])
             if n <= 0:
                 raise ValueError(f"decoder file cannot hold a rank-{n} basis")
-            basis = parse_basis(head + "".join(itertools.islice(fh, n)))
+            basis = parse_basis(" ".join(head) + "\n" + "".join(itertools.islice(fh, n)))
             head = fh.readline().split()
             if len(head) != 5 or head[0] != "advice":
                 raise ValueError("decoder file is missing its advice header")
