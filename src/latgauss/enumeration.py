@@ -26,7 +26,7 @@ from operator import mul
 
 import numpy as np
 
-from ._validation import as_fraction, as_fraction_vector, check_count
+from ._validation import as_fraction, as_fraction_vector, as_integer, check_count
 from .lattice import (
     LatticeBasis,
     _clear,
@@ -364,7 +364,8 @@ def _size_reduce(basis):
     """Make |mu_ij| <= 1/2 by integer row operations (exact).
 
     Row operations leave every b*_j unchanged, so mu_ij = <R_i, W_j> / D_j is
-    read from the current integer row i and the frame of the input.
+    read from the current integer row i and the frame of the input, and the
+    result keeps that frame's W and D.
     """
     f = basis._frame
     rows = list(f.rows)
@@ -373,7 +374,7 @@ def _size_reduce(basis):
             c = _round_half_even(sum(map(mul, rows[i], f.w[j])), f.dets[j])
             if c:
                 rows[i] = tuple(a - c * b for a, b in zip(rows[i], rows[j]))
-    return [tuple(Fraction(x, f.d) for x in r) for r in rows]
+    return LatticeBasis._from_frame(f.with_rows(rows), basis.ambient)
 
 
 def hkz_reduce(basis, svp=None):
@@ -382,22 +383,22 @@ def hkz_reduce(basis, svp=None):
     b*_k is a shortest vector of the k-th projected lattice for every k, and
     the result is size-reduced. svp, when given, maps a LatticeBasis to the
     coefficient vector of a short vector; plugging in an approximate solver
-    yields the relaxed (factor-g) variant with identical bookkeeping.
+    yields the relaxed (factor-g) variant with identical bookkeeping. A
+    coefficient without an integer value, or a count other than the
+    projected rank, raises ValueError.
     """
     if svp is None:
         svp = lambda b: shortest_vector(b)[1]
-    rows = [tuple(r) for r in basis.rows]
-    n = len(rows)
-    for k in range(n - 1):
-        work = LatticeBasis(rows, ambient=basis.ambient)
-        coeffs = list(svp(project_lattice(work, k)))
-        g = 0
-        for v in coeffs:
-            g = math.gcd(g, abs(int(v)))
+    f = basis._frame
+    for k in range(basis.rank - 1):
+        work = LatticeBasis._from_frame(f, basis.ambient)
+        coeffs = [as_integer(v) for v in svp(project_lattice(work, k))]
+        if len(coeffs) != basis.rank - k:
+            raise ValueError(f"svp returned {len(coeffs)} coefficients for rank {basis.rank - k}")
+        g = math.gcd(*coeffs)
         if g > 1:
             coeffs = [v // g for v in coeffs]
-        head = (0,) * k
-        rows[k:] = [work.vector(head + tuple(u)) for u in complete_to_unimodular(coeffs)]
-    rows = _size_reduce(LatticeBasis(rows, ambient=basis.ambient))
-    return LatticeBasis(rows, ambient=basis.ambient)
-
+        cols = tuple(zip(*f.rows[k:]))
+        f = f.with_tail(k, [tuple(sum(map(mul, u, col)) for col in cols)
+                            for u in complete_to_unimodular(coeffs)])
+    return _size_reduce(LatticeBasis._from_frame(f, basis.ambient))

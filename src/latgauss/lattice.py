@@ -6,11 +6,13 @@ one common denominator, and their Gram-Schmidt data scaled to integers by the
 leading Gram determinants (Bareiss 1968; de Weger 1987). Every exact solve
 reads that frame: Gram-Schmidt, projections and Babai rounding directly, the
 dual by back-substitution, and span coefficients and membership from the
-dual's frame. All of it runs on Python integers, with fractions.Fraction only
-at the boundary, so downstream certificates can treat equalities and
-comparisons as exact. Floating point enters only through the cached float64
-image of a basis, which the enumeration and Gaussian layers use for speed and
-always back with an exact check.
+dual's frame. A doubled, projected or size-reduced basis takes its frame from
+its parent's in closed form, equal to the one a fresh construction builds.
+All of it runs on Python integers, with fractions.Fraction only at the
+boundary, so downstream certificates can treat equalities and comparisons as
+exact. Floating point enters only through the cached float64 image of a
+basis, which the enumeration and Gaussian layers use for speed and always
+back with an exact check.
 """
 
 from __future__ import annotations
@@ -59,19 +61,99 @@ class _Frame:
     from P_0 = v = R_i. Then b*_i = W_i / (d D_{i-1}),
     ||b*_i||^2 = D_i / (d^2 D_{i-1}) and mu_ij = <R_i, W_j> / D_j. A zero
     D_i means row i depends on the rows before it.
+
+    build runs the recurrence on new rows, and with_tail on new rows after a
+    kept prefix; scale_row, project_tail and with_rows derive a new frame in
+    closed form. Each result has d least, so it equals field for field the
+    frame that build gives on the same rows.
     """
 
-    def __init__(self, rows, d):
-        self.d = d
-        self.rows = tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows)
-        self.w, self.dets = [], []
-        for v in self.rows:
-            p = self.project(len(self.w), v)
+    def __init__(self, d, rows, w, dets):
+        self.d, self.rows, self.w, self.dets = d, rows, w, dets
+
+    @classmethod
+    def build(cls, rows, d):
+        """The frame of Fraction rows with least common denominator d."""
+        return cls(d, (), (), ()).with_tail(
+            0, [tuple(x.numerator * (d // x.denominator) for x in r) for r in rows]
+        )
+
+    def with_tail(self, k, rows):
+        """The frame with rows k.. replaced by the given integer rows over d,
+        by the recurrence on those rows alone: rows 0..k-1 keep their W and D.
+
+        d stays least when the new rows and the old ones generate the same
+        lattice over rows 0..k-1 (a unimodular change of the tail).
+        """
+        f = _Frame(self.d, self.rows[:k], self.w[:k], self.dets[:k])
+        for v in rows:
+            p = f.project(len(f.w), v)
             det = sum(map(mul, v, p))
             if det == 0:
                 raise ValueError("basis rows are linearly dependent")
-            self.w.append(p)
-            self.dets.append(det)
+            f.rows += (v,)
+            f.w += (p,)
+            f.dets += (det,)
+        return f
+
+    @classmethod
+    def _lowest_terms(cls, d, rows, w, dets):
+        """The frame of rows over d with g = gcd(d, entries) divided out, so
+        that d is the least common denominator, as a fresh build has it.
+        Row i, W_i and D_i are homogeneous of degrees 1, 2i + 1 and 2i + 2 in
+        the rows, so each divides exactly."""
+        g = math.gcd(d, *(x for r in rows for x in r))
+        if g == 1:
+            return cls(d, rows, w, dets)
+        return cls(
+            d // g,
+            tuple(tuple(x // g for x in r) for r in rows),
+            tuple(tuple(x // g ** (2 * i + 1) for x in v) for i, v in enumerate(w)),
+            tuple(det // g ** (2 * i + 2) for i, det in enumerate(dets)),
+        )
+
+    def scale_row(self, i, c):
+        """The frame with row i multiplied by the positive integer c.
+
+        r*_i gains c and no other r*_j changes, so W_i gains c, and each
+        later W_j and every D_j from i on gain c^2.
+        """
+        c2 = c * c
+        return _Frame._lowest_terms(
+            self.d,
+            self.rows[:i] + (tuple(c * x for x in self.rows[i]),) + self.rows[i + 1:],
+            self.w[:i] + (tuple(c * x for x in self.w[i]),)
+            + tuple(tuple(c2 * x for x in v) for v in self.w[i + 1:]),
+            self.dets[:i] + tuple(c2 * det for det in self.dets[i:]),
+        )
+
+    def project_tail(self, k, stop):
+        """The frame of rows k..stop-1 projected away from rows 0..k-1.
+
+        The projected rows are P_k(R_j) over d D_{k-1}, and their
+        Gram-Schmidt rows are D_{k-1} r*_{k+i}, so
+        W'_i = D_{k-1}^(2i) W_{k+i} and D'_i = D_{k-1}^(2i+1) D_{k+i}.
+        """
+        top = self.det(k - 1)
+        sq = top * top
+        w, dets, scale = [], [], 1
+        for v, det in zip(self.w[k:stop], self.dets[k:stop]):
+            w.append(tuple(scale * x for x in v))
+            dets.append(scale * top * det)
+            scale *= sq
+        return _Frame._lowest_terms(
+            self.d * top, tuple(self.project(k, r) for r in self.rows[k:stop]),
+            tuple(w), tuple(dets),
+        )
+
+    def with_rows(self, rows):
+        """The frame of integer rows R'_i = R_i + (an integer combination of
+        R_0..R_{i-1}), as size reduction makes them.
+
+        Such a step changes no r*_i, so W and D carry over, and it is
+        unimodular, so the entries keep their gcd with d, which is one.
+        """
+        return _Frame(self.d, tuple(rows), self.w, self.dets)
 
     def det(self, i):
         """D_i, with D_-1 = 1."""
@@ -137,7 +219,16 @@ class LatticeBasis:
         if self.rank > self.ambient:
             raise ValueError(f"{self.rank} rows cannot be independent in dimension {self.ambient}")
         # the frame is the basis's one stored form; rows are read back from it
-        self._frame = _Frame(rows, math.lcm(1, *(x.denominator for r in rows for x in r)))
+        self._frame = _Frame.build(rows, math.lcm(1, *(x.denominator for r in rows for x in r)))
+
+    @classmethod
+    def _from_frame(cls, frame, ambient):
+        """The basis of a frame derived from another basis's frame."""
+        basis = cls.__new__(cls)
+        basis.rank = len(frame.rows)
+        basis.ambient = ambient
+        basis._frame = frame
+        return basis
 
     def __eq__(self, other):
         return (
@@ -287,8 +378,14 @@ def lattice_coefficients(basis, vector):
     return ints if basis.vector(ints) == v else None
 
 
+def _check_prefix(basis, k):
+    if not 0 <= k <= basis.rank:
+        raise ValueError(f"projection index must lie in [0, {basis.rank}]")
+
+
 def project_away_from_prefix(basis, k, vector):
     """Project vector orthogonally to span(b_1..b_k)."""
+    _check_prefix(basis, k)
     v = as_fraction_vector(vector, basis.ambient)
     if k == 0:
         return v
@@ -303,12 +400,10 @@ def project_lattice(basis, k):
 
     The i-th row of the result is the projection of b_{k+i}; coefficient
     vectors therefore transfer one-to-one between the projected basis and the
-    tail rows of the original.
+    tail rows of the original. Its frame is derived from the basis's.
     """
-    if not 0 <= k <= basis.rank:
-        raise ValueError(f"projection index must lie in [0, {basis.rank}]")
-    rows = [project_away_from_prefix(basis, k, basis.rows[i]) for i in range(k, basis.rank)]
-    return LatticeBasis(rows, ambient=basis.ambient)
+    _check_prefix(basis, k)
+    return LatticeBasis._from_frame(basis._frame.project_tail(k, basis.rank), basis.ambient)
 
 
 def nearest_plane(basis, target):

@@ -48,7 +48,6 @@ from .lattice import (
     _clear,
     lattice_coefficients,
     nearest_plane,
-    project_away_from_prefix,
     sqdist,
     sqnorm,
 )
@@ -142,13 +141,10 @@ def _blocks(hkz, cuts, r=math.inf):
     that the scan fixes starts. Otherwise hi is the rank, which makes the
     block the whole tail projection; with r infinite no cut is chained.
     """
+    f = hkz._frame
     n = hkz.rank
     return tuple(
-        LatticeBasis(
-            [project_away_from_prefix(hkz, c, hkz.rows[j])
-             for j in range(c, cuts[k - r] if k > r else n)],
-            ambient=hkz.ambient,
-        )
+        LatticeBasis._from_frame(f.project_tail(c, cuts[k - r] if k > r else n), hkz.ambient)
         for k, c in enumerate(cuts)
     )
 
@@ -302,10 +298,7 @@ def _shortest_via_promise_cvp(basis, inner):
     n = basis.rank
     best = None
     for i in range(n):
-        doubled = LatticeBasis(
-            [tuple(2 * x for x in r) if j == i else r for j, r in enumerate(basis.rows)],
-            ambient=basis.ambient,
-        )
+        doubled = LatticeBasis._from_frame(basis._frame.scale_row(i, 2), basis.ambient)
         coeffs = _answer(inner(doubled, basis.rows[i]), n)
         if coeffs is None:
             continue

@@ -154,6 +154,16 @@ def test_hkz_reduce_outputs_are_pinned():
     assert digest == "1bacd8dc4d26d48932dadf8b4adbbf3644103ac62408118accc4ff785908dcb4"
 
 
+def test_hkz_reduce_rejects_an_svp_answer_outside_the_contract():
+    # int() would truncate 1.5 to the coefficient 1 and return a basis, and
+    # a short answer would drop a row of the tail
+    with pytest.raises(ValueError, match="not an integer"):
+        hkz_reduce(integer_identity(3), svp=lambda b: (1.5, 0, 0))
+    for answer in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="coefficients for rank 3"):
+            hkz_reduce(integer_identity(3), svp=lambda b: answer)
+
+
 def test_budget_exceeded_propagates(monkeypatch):
     basis = random_integer(4, seed=1)
     monkeypatch.setenv("LATGAUSS_BUDGET", "2")

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from latgauss._validation import parse_fraction
 from latgauss.advice import generate_advice
-from latgauss.enumeration import closest_vector, enumerate_ball
+from latgauss.enumeration import _size_reduce, closest_vector, enumerate_ball
 from latgauss.generators import checkerboard, integer_identity, random_integer
 from latgauss.lattice import (
     LatticeBasis,
@@ -158,6 +158,71 @@ def test_project_lattice_ranks_and_transfer():
             assert row == project_away_from_prefix(basis, k, basis.rows[k + i])
     with pytest.raises(ValueError):
         project_lattice(basis, 5)
+
+
+def test_project_away_from_prefix_rejects_an_index_outside_the_rank():
+    # k = -1 would read the last prefix determinant and return (0, 1, 1)
+    basis = LatticeBasis([[2, 0, 0], [1, 3, 0]])
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="projection index"):
+            project_away_from_prefix(basis, k, (1, 1, 1))
+
+
+def _frame_fields(basis):
+    f = basis._frame
+    return f.d, f.rows, f.w, f.dets
+
+
+def _assert_fresh(derived, fresh):
+    """derived carries the frame that a fresh construction builds."""
+    assert _frame_fields(derived) == _frame_fields(fresh)
+    assert (derived.rank, derived.ambient) == (fresh.rank, fresh.ambient)
+    assert derived == fresh and hash(derived) == hash(fresh)
+
+
+def test_derived_frames_divide_out_a_common_factor():
+    # the updated rows share a factor with d, which a fresh construction
+    # never carries: d = 2 falls to 1 in the first, d D_0 = 4 to 1 in the second
+    doubled = LatticeBasis([[Fraction(1, 2), 0], [0, 1]])._frame.scale_row(0, 2)
+    _assert_fresh(LatticeBasis._from_frame(doubled, 2), integer_identity(2))
+    _assert_fresh(project_lattice(LatticeBasis([[2, 0], [1, 1]]), 1), LatticeBasis([[0, 1]]))
+
+
+@given(rational_cases(), st.data())
+def test_frame_updates_equal_a_fresh_construction(case, data):
+    rows, _ = case
+    assume(all(reference_gram_schmidt(rows)[2]))
+    basis = LatticeBasis(rows)
+    n, m, f = basis.rank, basis.ambient, basis._frame
+    i = data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(1, 6))
+    scaled_rows = [tuple(c * x for x in r) if j == i else r for j, r in enumerate(rows)]
+    scaled = LatticeBasis._from_frame(f.scale_row(i, c), m)
+    _assert_fresh(scaled, LatticeBasis(scaled_rows))
+    # the tail projection, of the basis and of the scaled basis
+    k = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(k, n))
+    for parent, prows in ((basis, rows), (scaled, scaled_rows)):
+        fresh = LatticeBasis(
+            [reference_project_away(prows, k, prows[j]) for j in range(k, stop)], ambient=m
+        )
+        _assert_fresh(LatticeBasis._from_frame(parent._frame.project_tail(k, stop), m), fresh)
+    # a unimodular change of the rows from k on: reversed, and the new last
+    # row added to each of the others
+    tail = f.rows[k:][::-1]
+    tail = tuple(tuple(a + b for a, b in zip(r, tail[-1])) for r in tail[:-1]) + tail[-1:]
+    fresh = LatticeBasis([[Fraction(x, f.d) for x in r] for r in f.rows[:k] + tail], ambient=m)
+    _assert_fresh(LatticeBasis._from_frame(f.with_tail(k, tail), m), fresh)
+    # integer multiples of earlier rows added to each row
+    combined = list(f.rows)
+    for a in range(n):
+        for b in range(a):
+            step = data.draw(st.integers(-3, 3))
+            combined[a] = tuple(x + step * y for x, y in zip(combined[a], f.rows[b]))
+    fresh = LatticeBasis([[Fraction(x, f.d) for x in r] for r in combined], ambient=m)
+    _assert_fresh(LatticeBasis._from_frame(f.with_rows(combined), m), fresh)
+    reduced = _size_reduce(basis)
+    _assert_fresh(reduced, LatticeBasis(reduced.rows, ambient=m))
 
 
 def test_parse_and_format_roundtrip():

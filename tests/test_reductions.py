@@ -114,6 +114,25 @@ def test_rank8_reducer_outputs_are_pinned():
     assert digest == "69b0eb4b5afdcf0275f9513d1d24ec63b3c3d0d2662d0cc8b66dea9c8d7cd8e4"
 
 
+def _frame_state(basis):
+    f = basis._frame
+    return f.d, f.rows, tuple(map(tuple, f.w)), tuple(f.dets)
+
+
+def test_rank8_fitted_frames_are_pinned():
+    # every frame the three reducers fit, hkz_ and each of blocks_, pinned
+    # from frames built afresh from their rows, so a derived frame must
+    # equal a fresh one field for field
+    states = []
+    for basis, _ in _rank8_cases():
+        for red in (KannanReducer(alpha=Fraction(1, 2)).fit(basis),
+                    MasterReducer(g=1, h=0, alpha=Fraction(1, 2)).fit(basis),
+                    PromiseReducer().fit(basis)):
+            states.append([_frame_state(b) for b in (red.hkz_, *red.blocks_)])
+    digest = hashlib.sha256(repr(states).encode()).hexdigest()
+    assert digest == "e7bc716c11fc1c1a7c5a7d9dbfd879321409b6e3e9c7807edbb0f0b1cffc90b7"
+
+
 @pytest.mark.parametrize("h, want", [
     (1, "31cd5ebcc779e8cf56168be8ba6d2d29ad10a7b88d1e1ebe45d6c662bcf644d1"),
     (2, "b049d2d89ee0fc9e5043eb6d0cd723dfabcf6697409ae8b4f2286b4bfa5f5f97"),
