@@ -146,7 +146,7 @@ def main(argv=None):
     p.add_argument("scheme", choices=("kannan", "master", "promise", "sparsify"))
     p.add_argument("--lattice", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--inner", choices=("oracle", "bdd"), default="oracle")
     p.add_argument("--trials", type=int, default=1)

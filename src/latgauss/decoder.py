@@ -67,6 +67,15 @@ def decoding_radius(basis, eps):
     return dmax * s_eps / eta.value
 
 
+def _check_alpha(alpha):
+    """alpha as a float; ValueError unless it lies in (0, 1/2), the radii
+    bdd_param_plan can reach."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    return alpha
+
+
 def bdd_param_plan(alpha, n):
     """(eps, n_advice) reaching decoding radius alpha * lambda_1 on rank n.
 
@@ -74,9 +83,7 @@ def bdd_param_plan(alpha, n):
     8/(1-2a)) / 2 - 1; the advice count is advice_count(n, eps).
     """
     n = check_count("n", n)
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    alpha = _check_alpha(alpha)
     gap = 1.0 - 2.0 * alpha
     inv_eps = 0.5 * math.exp(2.0 * alpha * alpha * n / (gap * gap) + 8.0 / gap) - 1.0
     if not inv_eps > 200.0:

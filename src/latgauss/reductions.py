@@ -40,7 +40,7 @@ from operator import mul
 
 from ._estimator import ParamMixin
 from ._validation import as_fraction, as_fraction_vector, as_integer, check_count, check_positive
-from .decoder import EXACT, BddDecoder, bdd_param_plan
+from .decoder import EXACT, BddDecoder, _check_alpha, bdd_param_plan
 from .enumeration import BudgetExceeded, _points_within, closest_vector, hkz_reduce
 from .lattice import (
     LatticeBasis,
@@ -74,7 +74,7 @@ def bdd_inner(alpha=0.15, seed=0):
     that trips the denominator guard reports failure (None) rather than
     handing back coefficients without their certificate.
     """
-    check_positive("alpha", alpha)
+    _check_alpha(alpha)
     fitted = {}
 
     def solve(basis, target):
@@ -389,6 +389,21 @@ class SparseCoset:
     z: tuple
     c: int
 
+    def __post_init__(self):
+        """Reject a coset that contains or sublattice would answer wrongly:
+        p below 2, a z without one entry per row, or c outside [0, p)."""
+        p = check_count("p", self.p)
+        if p < 2:
+            raise ValueError(f"p must be at least 2, got {self.p!r}")
+        if len(self.z) != self.basis.rank:
+            raise ValueError(f"z has {len(self.z)} entries for rank {self.basis.rank}")
+        c = as_integer(self.c)
+        if not 0 <= c < p:
+            raise ValueError(f"c must lie in [0, {p}), got {self.c!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "z", tuple(map(as_integer, self.z)))
+        object.__setattr__(self, "c", c)
+
     def contains(self, vector):
         """Exact membership; False for vectors outside the parent lattice."""
         coeffs = lattice_coefficients(self.basis, vector)
@@ -403,19 +418,20 @@ class SparseCoset:
         return self.basis.vector(tuple(k if i == j else 0 for i in range(self.basis.rank)))
 
     def sublattice(self):
-        """Basis of the c = 0 members; index p in the parent lattice."""
+        """Basis of the c = 0 members; index p in the parent lattice.
+
+        Pivot row j becomes p R_j, each later row R_i - (z_i / z_j mod p) R_j,
+        and the rows before j stay; the frame follows from the parent's.
+        """
         j = self._pivot()
         inv = pow(self.z[j], -1, self.p)
-        rows = []
-        for i in range(self.basis.rank):
-            if i == j:
-                rows.append(tuple(self.p * x for x in self.basis.rows[j]))
-            else:
-                m = self.z[i] * inv % self.p
-                rows.append(
-                    tuple(a - m * b for a, b in zip(self.basis.rows[i], self.basis.rows[j]))
-                )
-        return LatticeBasis(rows, ambient=self.basis.ambient)
+        f = self.basis._frame
+        rows = list(f.rows)
+        for i in range(j + 1, self.basis.rank):
+            m = self.z[i] * inv % self.p
+            if m:
+                rows[i] = tuple(a - m * b for a, b in zip(rows[i], f.rows[j]))
+        return LatticeBasis._from_frame(f.with_rows(rows).scale_row(j, self.p), self.basis.ambient)
 
     def _pivot(self):
         for j, v in enumerate(self.z):
@@ -497,22 +513,21 @@ class SparsifyReducer(ParamMixin):
         tau = as_fraction(self.tau)
         inner = _solver(self.inner)
         t = as_fraction_vector(target, basis.ambient)
+        babai, _ = nearest_plane(basis, t)
 
         if self.mode == "oracle":
             opt_sq = closest_vector(basis, t)[2]
             counted = _ball_count(basis, tau * tau * opt_sq)
             primes = (_next_prime(2 * counted),)
         else:
-            bv, _ = nearest_plane(basis, t)
             try:
-                cap = _ball_count(basis, tau * tau * sqdist(bv, t))
+                cap = _ball_count(basis, tau * tau * sqdist(babai, t))
             except BudgetExceeded:
                 cap = None
             top = _SWEEP if cap is None else min(_SWEEP, max(1, (2 * cap).bit_length()))
             primes = tuple(_next_prime((1 << i) + 1) for i in range(1, top + 1))
 
         best = None
-        produced = False
         for k in range(int(self.trials)):
             for j, p in enumerate(primes):
                 coset = _sample_coset(basis, p, stream(self.seed, k, j))
@@ -525,11 +540,9 @@ class SparsifyReducer(ParamMixin):
                 if w is None:
                     continue
                 cand = tuple(a + b for a, b in zip(sub.vector(w), y))
-                produced = True
                 score = sqdist(cand, t)
                 if best is None or score < best[0]:
                     best = (score, cand)
         if best is None:
-            cand, _ = nearest_plane(basis, t)
-            best = (sqdist(cand, t), cand)
-        return SparsifyResult(best[1], produced, int(self.trials))
+            return SparsifyResult(babai, False, int(self.trials))
+        return SparsifyResult(best[1], True, int(self.trials))

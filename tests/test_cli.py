@@ -7,7 +7,7 @@ import pytest
 from latgauss.cli import main
 from latgauss.decoder import BddDecoder
 from latgauss.generators import random_dual_orthogonal
-from latgauss.lattice import read_basis, write_basis
+from latgauss.lattice import lattice_coefficients, read_basis, write_basis
 
 
 def run(capsys, *argv):
@@ -118,6 +118,24 @@ def test_reduce_schemes_print_a_vector(tmp_path, capsys, scheme):
                           "--target", "0.4,1.6,-0.7")
     assert code == 0
     assert stdout.startswith("vector =")
+
+
+@pytest.mark.parametrize("scheme, target", [
+    ("kannan", "1/3,2/5,7/4"),
+    ("kannan", "13/3,-22/5,7/4"),
+    ("master", "13/3,-22/5,7/4"),
+])
+def test_reduce_with_the_bdd_solver_runs_at_its_defaults(tmp_path, capsys, scheme, target):
+    # the default --alpha is one the decoder can plan for
+    lat = tmp_path / "lat.txt"
+    run(capsys, "gen-lattice", "--spec", "random-integer:3", "--seed", "5",
+        "--out", str(lat))
+    code, stdout, stderr = run(capsys, "reduce", scheme, "--lattice", str(lat),
+                               "--target", target, "--inner", "bdd")
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("vector =")
+    vector = [Fraction(x) for x in stdout.split("=", 1)[1].split()]
+    assert lattice_coefficients(read_basis(lat), vector) is not None
 
 
 def test_reduce_sparsify_reports_trials(tmp_path, capsys):

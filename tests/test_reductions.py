@@ -26,6 +26,7 @@ from latgauss.reductions import (
     _cut_scan,
     _is_prime,
     _master_indices,
+    _next_prime,
     _shortest_via_promise_cvp,
     bdd_inner,
     sparse_coset_sample,
@@ -440,6 +441,13 @@ def test_kannan_with_a_bdd_inner_solver():
         assert sqdist(got, t) <= 3 * opt
 
 
+@pytest.mark.parametrize("alpha", (0.5, 0.0, 0.7))
+def test_bdd_inner_rejects_an_alpha_it_cannot_plan_for(alpha):
+    # rejected when built, not at its first solve
+    with pytest.raises(ValueError, match="alpha"):
+        bdd_inner(alpha=alpha)
+
+
 def test_inner_failure_falls_back_to_babai():
     basis = random_integer(3, seed=6)
     t = frac_vector((7, -2, 5), 3)
@@ -512,6 +520,102 @@ def test_sparse_coset_sample_validates():
             tuple(2 * x for x in t))
         assert on_half.ok == on_basis.ok
         assert on_half.vector == tuple(x / 2 for x in on_basis.vector)
+
+
+@pytest.mark.parametrize("p, z, c", [
+    (7, (1, 2, 3), -1),
+    (7, (1, 2, 3), 8),
+    (7, (1, 2), 0),
+    (1, (1, 2, 3), 0),
+], ids=("c-below-0", "c-past-p", "z-short", "p-below-2"))
+def test_sparse_coset_rejects_what_it_would_answer_wrongly(p, z, c):
+    # a c outside [0, p) made a coset whose own point() it did not contain;
+    # a short z was cut short by contains and raised IndexError in sublattice
+    basis = random_integer(3, seed=44)
+    with pytest.raises(ValueError):
+        SparseCoset(basis, p, z, c)
+    for c in range(7):
+        coset = SparseCoset(basis, 7, (1, 2, 3), c)
+        assert coset.contains(coset.point())
+
+
+_BIG_PRIME = _next_prime(2**40 + 1)
+
+
+def _coset_cases():
+    """Cosets on ranks 3-8, on an integer basis and on the same basis with
+    its middle row over 6, for five primes up to 2^40. The pivot sits at row
+    0, the middle row and the last row, and once more at the middle row with
+    every other entry of z a multiple of p, where scaling the sixth row by 2
+    or 3 lowers the denominator. Entries before the pivot vanish mod p."""
+    for n in range(3, 9):
+        whole = random_integer(n, seed=800 + n)
+        mid = n // 2
+        sixth = LatticeBasis([[x / 6 if i == mid else x for x in r]
+                              for i, r in enumerate(whole.rows)])
+        for basis in (whole, sixth):
+            for p in (2, 3, 11, 101, _BIG_PRIME):
+                rng = stream(801, n, p)
+                for j in (0, mid, n - 1, None):
+                    k = mid if j is None else j
+                    z = ([p * int(rng.integers(-2, 3)) for _ in range(k)]
+                         + [int(rng.integers(1, p))]
+                         + [p * int(rng.integers(-2, 3)) if j is None
+                            else int(rng.integers(-p, p)) for _ in range(k + 1, n)])
+                    yield SparseCoset(basis, p, tuple(z), 0)
+
+
+def test_coset_sublattice_frames_are_pinned():
+    # pinned from sublattices built afresh from their Fraction rows
+    states = [_frame_state(coset.sublattice()) for coset in _coset_cases()]
+    assert len(states) == 240
+    digest = hashlib.sha256(repr(states).encode()).hexdigest()
+    assert digest == "bfae3e0acd3ce6da163f743ec1113b2ff3db5041ff498d30eef80b1c2489cbe3"
+
+
+@given(rational_cases(), st.data())
+def test_coset_sublattice_equals_a_fresh_construction(case, data):
+    rows, _ = case
+    assume(all(reference_gram_schmidt(rows)[2]))
+    basis = LatticeBasis(rows)
+    n = basis.rank
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 101)))
+    j = data.draw(st.integers(0, n - 1))
+    z = (tuple(p * data.draw(st.integers(-2, 2)) for _ in range(j))
+         + (data.draw(st.integers(1, p - 1)),)
+         + tuple(data.draw(st.integers(-p, p)) for _ in range(j + 1, n)))
+    sub = SparseCoset(basis, p, z, 0).sublattice()
+    # the index-p rows from their definition, in Fraction arithmetic
+    inv = pow(z[j], -1, p)
+    fresh = LatticeBasis(
+        [tuple(p * x for x in r) if i == j
+         else tuple(a - (z[i] * inv % p) * b for a, b in zip(r, rows[j]))
+         for i, r in enumerate(rows)],
+        ambient=basis.ambient,
+    )
+    assert _frame_state(sub) == _frame_state(fresh)
+    assert (sub.rank, sub.ambient) == (fresh.rank, fresh.ambient)
+    assert sub == fresh and hash(sub) == hash(fresh)
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("paper", "f312be4d74cd7d2ad97e034410669a3748d946997bd431322640ab36ccdc3dbb"),
+    ("oracle", "b967200b5b70fdebf24d9a260becde9dc6ce94ea1b8291f67f3e2d16ffc4f266"),
+])
+def test_rank8_sparsify_answers_are_pinned(mode, want):
+    # the first two targets of bases 700-703, two trials each; the
+    # sublattices and shifted targets the solver is asked about are pinned
+    # with the answers
+    outs, queries = [], []
+
+    def recording(sub, target):
+        queries.append((sub.rows, target))
+        return closest_vector(sub, target)[1]
+
+    for basis, targets in _rank8_cases():
+        red = SparsifyReducer(mode=mode, trials=2, seed=5, inner=recording).fit(basis)
+        outs.append([red.reduce(t) for t in targets[:2]])
+    assert hashlib.sha256(repr((outs, queries)).encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("mode", ("oracle", "paper"))
