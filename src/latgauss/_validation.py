@@ -79,7 +79,10 @@ def check_eps(eps, upper=1.0):
 
 
 def check_positive(name, x):
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite in float64, got {x!r}") from None
     if not x > 0.0 or not np.isfinite(x):
         raise ValueError(f"{name} must be a positive finite number, got {x}")
     return x

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ._validation import as_float_vector, as_integer, check_count, check_eps
+from ._validation import as_float_vector, as_integer, check_count, check_eps, check_positive
 from .enumeration import _float_points
 from .gaussian import sample_lattice_gaussian, smoothing_parameter
 from .rng import stream
@@ -69,10 +69,13 @@ class GaussianAdvice:
     """Dual Gaussian draws and the density estimator they induce.
 
     coeffs rows are exact integer coordinates over basis.dual, so every
-    advice vector is a dual lattice point by construction. f(t) averages
+    advice vector is a dual lattice point by construction; the draws are
+    taken from D_{L*,eta}, eta being the smoothing width. f(t) averages
     cos(2 pi <w_i, t>) over the draws: it is periodic over the lattice,
-    equals 1 on it, and for draws at the smoothing width it concentrates
-    around the true periodic Gaussian.
+    equals 1 on it, and estimates the periodic Gaussian f_{1/eta}(t) =
+    rho_{1/eta}(L + t) / rho_{1/eta}(L). The ascent step at that width is
+    t + grad f / (2 pi eta^2 f), which step_batch takes as
+    t - sum_i w_i sin(2 pi <w_i, t>) / (N eta^2 f).
 
     f and grad evaluate in float64 over vectors and are the reference. The
     batched f_batch and step_batch reduce each target once:
@@ -88,7 +91,7 @@ class GaussianAdvice:
     each coefficient column is contiguous within a tile.
     """
 
-    def __init__(self, basis, coeffs, eps, seed):
+    def __init__(self, basis, coeffs, eps, seed, eta):
         if basis.rank == 0:
             raise ValueError("advice needs a lattice of positive rank")
         coeffs = _integer_coefficients(coeffs, basis.rank)
@@ -96,6 +99,7 @@ class GaussianAdvice:
         self.coeffs = coeffs
         self.eps = check_eps(eps)
         self.seed = int(seed)
+        self.eta = check_positive("eta", eta)
         self._coeffs32 = np.asfortranarray(coeffs, dtype=np.float32)
         # S = max_i sum_k |c_ik| bounds every reduced phase by pi * S
         self._coef_sum = max(
@@ -123,7 +127,7 @@ class GaussianAdvice:
     def __repr__(self):
         return (
             f"GaussianAdvice(N={len(self)}, rank={self.basis.rank}, "
-            f"eps={self.eps:g}, seed={self.seed})"
+            f"eps={self.eps:g}, seed={self.seed}, eta={self.eta:g})"
         )
 
     @property
@@ -274,7 +278,7 @@ class GaussianAdvice:
         return self._kernel(ts, grad=False)[0]
 
     def step_batch(self, ts, floor=None):
-        """Vectorized gradient steps over the rows of ts.
+        """Vectorized gradient steps at width eta over the rows of ts.
 
         Returns (stepped targets, estimator values, ok), with ok the mask of
         rows that pass clears_guard against the floor (default_denom_floor(eps)
@@ -285,7 +289,7 @@ class GaussianAdvice:
         floor = default_denom_floor(self.eps) if floor is None else float(floor)
         vals, sines = self._kernel(ts, grad=True)
         ok = self.clears_guard(ts, vals, floor)
-        ts[ok] -= sines[ok] / (len(self) * vals[ok, None])
+        ts[ok] -= sines[ok] / (len(self) * self.eta ** 2 * vals[ok, None])
         return ts, vals, ok
 
 
@@ -300,4 +304,4 @@ def generate_advice(basis, eps, count, seed, eta=None):
     if eta is None:
         eta = smoothing_parameter(basis.dual, eps).value
     draws = sample_lattice_gaussian(basis.dual, s=eta, count=count, rng=stream(seed, 0))
-    return GaussianAdvice(basis, draws.coeffs, eps, seed)
+    return GaussianAdvice(basis, draws.coeffs, eps, seed, eta)

@@ -1,13 +1,12 @@
 """Bounded-distance decoding by gradient ascent on the estimated density.
 
-fit computes the smoothing parameter eta of the dual lattice, draws dual
-Gaussian advice at width eta, rescales the lattice by eta (so that the
-parameter equals 1), and picks the first short linearly independent advice
-vectors together with their exact biorthogonal frame. decode rescales the
-target, runs a fixed number of guarded ascent steps on the estimator,
-rounds the iterate against the frame, and maps the result back to original
-units. Membership of the output is checked exactly, so a claimed-exact
-result is always a true lattice point.
+fit draws dual Gaussian advice at the smoothing width eta of the dual
+lattice (generate_advice) and picks the first short linearly independent
+advice vectors together with their exact biorthogonal frame. decode runs a
+fixed number of guarded ascent steps at width eta on the estimator, all in
+the target's units, and rounds the iterate against the frame. Membership of
+the output is checked exactly, so a claimed-exact result is always a true
+lattice point.
 
 save writes the decoder file: the basis, the advice rows and the frame,
 all exact. It is the only file format for advice.
@@ -22,14 +21,13 @@ import numpy as np
 
 from ._estimator import ParamMixin
 from ._validation import check_count, check_eps, parse_fraction
-from .advice import GaussianAdvice, advice_count
+from .advice import GaussianAdvice, advice_count, generate_advice
 from .enumeration import _float_points
-from .gaussian import decoding_width, sample_lattice_gaussian, smoothing_parameter
+from .gaussian import decoding_width, smoothing_parameter
 from .lattice import LatticeBasis, format_basis, parse_basis, sqnorm
 # lattice_coefficients is no longer called here; it stays importable from this
 # module because the benchmark's tracer self-test looks it up here
 from .lattice import lattice_coefficients  # noqa: F401
-from .rng import stream
 
 EXACT = "exact-claimed"
 GUARD = "denominator-guard"
@@ -101,9 +99,10 @@ class DecodeResult:
     vector is exact (a tuple of rationals); coeffs are its coefficients
     over the fitted basis, or None when the rounded output is not a lattice
     point. trace is () unless the decode was asked for it with trace=True;
-    then it holds one (norm of the iterate in scaled units, estimator
-    value) pair per visited iterate, iterations_ + 1 of them when no guard
-    trips. The other fields do not depend on trace.
+    then it holds one (norm of the iterate, estimator value) pair per
+    visited iterate, iterations_ + 1 of them when no guard trips. The norms
+    are in the target's units, those of radius_. The other fields do not
+    depend on trace.
     """
 
     vector: tuple
@@ -120,7 +119,7 @@ _SCREEN_CHUNK_ROWS = 1024
 
 
 def _frame_indices(advice):
-    """First rank linearly independent draws with norm <= sqrt(rank).
+    """First rank linearly independent draws with norm <= sqrt(rank) * eta.
 
     The norm cut is checked exactly on the draw's coordinates, and
     independence by building the basis of the chosen coefficient rows; a
@@ -128,13 +127,14 @@ def _frame_indices(advice):
     full, only decides which rows are worth the exact check.
     """
     n = advice.basis.rank
-    screen = float(n) * (1.0 + 1e-9) + 1e-9
+    cut = n * Fraction(advice.eta) ** 2
+    screen = float(cut) * (1.0 + 1e-9) + 1e-9
     chosen = []
     for lo in range(0, len(advice), _SCREEN_CHUNK_ROWS):
         w = _float_points(advice.basis.dual, advice.coeffs[lo:lo + _SCREEN_CHUNK_ROWS])
         sq = np.einsum("ij,ij->i", w, w)
         for i in (lo + np.flatnonzero(sq <= screen)).tolist():
-            if sqnorm(advice.dual_vector(i)) > n:
+            if sqnorm(advice.dual_vector(i)) > cut:
                 continue
             try:
                 LatticeBasis(advice.coeffs[chosen + [i]])
@@ -217,27 +217,19 @@ class BddDecoder(ParamMixin):
         self.seed = seed
 
     def fit(self, basis):
-        """Preprocess the lattice: smoothing, advice, normalization, frame.
-
-        D_{L*,eta} has the coefficient law of D_{(eta L)*,1}, so the advice
-        is drawn on the input dual, whose exact arithmetic stays small.
-        """
+        """Preprocess the lattice: advice at the smoothing width, frame."""
         eps = check_eps(self.eps, upper=1.0 / 200.0)
         if basis.rank == 0:
             raise ValueError("cannot decode against a rank-0 lattice")
-        eta = smoothing_parameter(basis.dual, eps).value
         count = self.n_advice
         if count is None:
             count = advice_count(basis.rank, eps)
-        draws = sample_lattice_gaussian(
-            basis.dual, s=eta, count=check_count("n_advice", count), rng=stream(self.seed, 0)
-        )
-        self._set_state(basis, Fraction(eta), draws.coeffs)
+        self._set_state(generate_advice(basis, eps, check_count("n_advice", count), self.seed))
         return self
 
-    def _set_state(self, basis, scale, coeffs, stored=None):
-        """Fitted state from advice coefficient rows over basis.dual, which
-        are also the rows over the dual of basis scaled by scale.
+    def _set_state(self, advice, stored=None):
+        """Fitted state from the advice, drawn on the dual of its basis at
+        width advice.eta.
 
         fit passes no stored frame, and the frame draws are picked here; load
         passes the file's (indices, frame rows), and the frame must equal
@@ -247,7 +239,7 @@ class BddDecoder(ParamMixin):
         rows form C, and the frame's coefficients over the basis are C^-T,
         the dual of the basis with rows C.
         """
-        advice = GaussianAdvice(basis.scaled(scale), coeffs, self.eps, self.seed)
+        basis = advice.basis
         idx, frame = (_frame_indices(advice), None) if stored is None else stored
         draws = [[int(c) for c in advice.coeffs[i]] for i in idx]
         vstar = LatticeBasis([basis.dual.vector(c) for c in draws], ambient=basis.ambient)
@@ -256,15 +248,15 @@ class BddDecoder(ParamMixin):
         over_basis = LatticeBasis(draws).dual._frame
         s_eps, dmax = decoding_width(advice.eps)
         self.basis_ = basis
-        self.scale_ = scale
+        self.scale_ = Fraction(advice.eta)
         self.advice_ = advice
         self.vstar_indices_ = tuple(int(i) for i in idx)
         self.vstar_ = vstar
         self.frame_ = vstar.dual
         self._frame_num, self._frame_den = over_basis.rows, over_basis.d
-        self._vstar_float = _float_points(advice.basis.dual, advice.coeffs[list(idx)])
+        self._vstar_float = _float_points(basis.dual, advice.coeffs[list(idx)])
         self.iterations_ = iteration_count(basis.rank, advice.eps)
-        self.radius_ = dmax * s_eps / float(scale)
+        self.radius_ = dmax * s_eps / advice.eta
 
     def _check_fitted(self):
         if getattr(self, "basis_", None) is None:
@@ -277,14 +269,13 @@ class BddDecoder(ParamMixin):
         costs one more kernel pass over the advice for the final iterates.
         """
         self._check_fitted()
-        ts = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if ts.shape[1] != self.basis_.ambient:
+        cur = np.array(targets, dtype=np.float64, ndmin=2)
+        if cur.shape[1] != self.basis_.ambient:
             raise ValueError(
-                f"targets must have {self.basis_.ambient} coordinates, got {ts.shape[1]}"
+                f"targets must have {self.basis_.ambient} coordinates, got {cur.shape[1]}"
             )
-        if not np.isfinite(ts).all():
+        if not np.isfinite(cur).all():
             raise ValueError("targets must have finite coordinates")
-        cur = float(self.scale_) * ts
         k = cur.shape[0]
         guarded_at = np.full(k, -1)
         traces = [[] for _ in range(k)]
@@ -406,5 +397,5 @@ class BddDecoder(ParamMixin):
                 raise ValueError(f"decoder file must end with {n} frame rows")
         frame_rows = [[parse_fraction(t) for t in line.split()] for line in rows]
         dec = cls(eps=eps, n_advice=count, seed=seed)
-        dec._set_state(basis, scale, coeffs, (idx, frame_rows))
+        dec._set_state(GaussianAdvice(basis, coeffs, eps, seed, scale), (idx, frame_rows))
         return dec

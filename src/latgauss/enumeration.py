@@ -144,22 +144,46 @@ def _prepare(basis, d, center_int):
     return rows_int, f.float_mu, bstar2, tau, perp
 
 
-def _exact_sqdists(coeffs, rows_int, center_int):
-    """Exact scaled squared distances for a (K, n) int coefficient array.
-
-    int64 when no intermediate can overflow, Python integers (object) otherwise.
-    """
-    k, n = coeffs.shape
-    m = len(center_int)
+def _fits_int64(coeffs, rows_int, center_int):
+    """Whether no intermediate of _int64_sqdists can overflow int64."""
+    n, m = coeffs.shape[1], len(center_int)
     max_b = max((abs(v) for row in rows_int for v in row), default=0)
     max_c = int(np.abs(coeffs).max()) if coeffs.size else 0
     max_t = max((abs(v) for v in center_int), default=0)
     coord_bound = n * max_c * max_b + max_t
-    if m * coord_bound * coord_bound < 2 ** 62:
-        b_arr = np.array(rows_int, dtype=np.int64).reshape(n, m)
-        pts = coeffs @ b_arr if n else np.zeros((k, m), dtype=np.int64)
-        diff = pts - np.array(center_int, dtype=np.int64)
-        return np.einsum("ij,ij->i", diff, diff)
+    return m * coord_bound * coord_bound < 2 ** 62
+
+
+def _int64_sqdists(coeffs, rows_int, center_int):
+    k, n = coeffs.shape
+    m = len(center_int)
+    b_arr = np.array(rows_int, dtype=np.int64).reshape(n, m)
+    pts = coeffs @ b_arr if n else np.zeros((k, m), dtype=np.int64)
+    diff = pts - np.array(center_int, dtype=np.int64)
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _exact_sqdists(coeffs, rows_int, center_int):
+    """Exact scaled squared distances for a (K, n) int coefficient array.
+
+    int64 when no intermediate can overflow, Python integers (object)
+    otherwise. Past int64, the common factor g of every row and centre entry
+    is divided out, the quotients are scored (in int64 when they fit) and the
+    scores are multiplied by g^2 as Python integers: the same integers.
+    """
+    if _fits_int64(coeffs, rows_int, center_int):
+        return _int64_sqdists(coeffs, rows_int, center_int)
+    g = 0
+    for row in (center_int, *rows_int):
+        g = math.gcd(g, *row)
+        if g == 1:  # the usual case past int64; stop scanning
+            break
+    if g > 1:
+        rows_int = tuple(tuple(v // g for v in row) for row in rows_int)
+        center_int = tuple(v // g for v in center_int)
+        if _fits_int64(coeffs, rows_int, center_int):
+            return _int64_sqdists(coeffs, rows_int, center_int).astype(object) * (g * g)
+    n, m = coeffs.shape[1], len(center_int)
     # big-integer fallback
     out = []
     cols = list(zip(*rows_int)) if n else [()] * m
@@ -169,7 +193,8 @@ def _exact_sqdists(coeffs, rows_int, center_int):
             v = sum(c * b for c, b in zip(row, cols[j])) - center_int[j]
             acc += v * v
         out.append(acc)
-    return np.array(out, dtype=object)
+    out = np.array(out, dtype=object)
+    return out * (g * g) if g > 1 else out
 
 
 def _float_points(basis, coeffs):

@@ -182,7 +182,15 @@ class PeriodicGaussian:
         return -4.0 * _PI * _PI * ((self._w * coss[:, None]).T @ self._w)
 
     def f_batch(self, ts):
+        """f over the rows of ts; ValueError, as from f, on a non-finite entry
+        or on rows of other than basis.ambient coordinates."""
         ts = np.asarray(ts, dtype=np.float64)
+        if ts.ndim != 2 or ts.shape[1] != self.basis.ambient:
+            raise ValueError(
+                f"expected rows of {self.basis.ambient} coordinates, got shape {ts.shape}"
+            )
+        if not np.isfinite(ts).all():
+            raise ValueError("row entries must be finite")
         return np.cos(2.0 * _PI * (ts @ self._w.T)) @ self._weights
 
 

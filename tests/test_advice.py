@@ -79,14 +79,16 @@ def test_gradient_matches_finite_differences():
         assert (adv.f(t + e) - adv.f(t - e)) / (2 * h) == pytest.approx(g[i], abs=1e-5)
 
 
-def test_step_moves_toward_the_lattice_point():
-    # the plain step t + grad/(2 pi f) is calibrated for the lattice scaled
-    # to total mass 1 + eps, so build the advice on that normalization
+@pytest.mark.parametrize("scaled", [False, True], ids=["input", "scaled"])
+def test_step_moves_toward_the_lattice_point(scaled):
+    # the step t + grad/(2 pi eta^2 f) at the advice's own width eta
+    # contracts on the input lattice and on the lattice scaled by eta, whose
+    # dual smooths at about width 1
     eps = 1e-4
-    base = integer_identity(3)
-    eta = smoothing_parameter(base.dual, eps).value
-    scaled = base.scaled(Fraction(eta))
-    adv = generate_advice(scaled, eps, 20000, seed=6)
+    basis = integer_identity(3)
+    if scaled:
+        basis = basis.scaled(Fraction(smoothing_parameter(basis.dual, eps).value))
+    adv = generate_advice(basis, eps, 20000, seed=6)
     t = np.array([0.10, -0.08, 0.06])
     stepped, vals, ok = adv.step_batch(t)
     assert ok[0] and adv.clears_guard(t, vals, default_denom_floor(eps))[0]
@@ -95,7 +97,7 @@ def test_step_moves_toward_the_lattice_point():
 
 def test_step_rejects_small_denominators():
     basis = integer_identity(1)
-    adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0)
+    adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0, eta=1.0)
     t = np.array([0.25])
     out, vals, ok = adv.step_batch(t)
     assert not ok[0] and not adv.clears_guard(t, vals, default_denom_floor(1e-3))[0]
@@ -109,7 +111,7 @@ def test_step_rejects_small_denominators():
 
 def test_step_batch_freezes_rows_below_the_floor():
     basis = integer_identity(1)
-    adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0)
+    adv = GaussianAdvice(basis, [[1]], eps=1e-3, seed=0, eta=1.0)
     ts = np.array([[0.05], [0.25]])
     out, vals, ok = adv.step_batch(ts)
     floor = default_denom_floor(1e-3)
@@ -179,7 +181,8 @@ def test_save_records_the_source_scale(tmp_path):
     dec.save(path)
     back = BddDecoder.load(path)
     assert back.scale_ == dec.scale_ != 1
-    assert back.advice_.basis == basis.scaled(dec.scale_)
+    assert back.advice_.eta == dec.advice_.eta == dec.scale_
+    assert back.advice_.basis == basis
 
 
 # advice on a generic lattice, and on one whose dual rows are dyadic so the
@@ -205,11 +208,12 @@ def assert_kernel_tracks_reference(adv, ts):
         assert abs(fb[k] - f) <= err
         assert abs(vals[k] - f) <= err
         if abs(f) > 2 * err:
-            # t + grad/(2 pi f) with the gradient within 2 pi max||w|| err and
-            # f within err, plus the float64 rounding of the sum
-            step = g / (2 * math.pi * f)
+            # t + grad/(2 pi eta^2 f) with the gradient within 2 pi max||w|| err
+            # and f within err, plus the float64 rounding of the sum
+            eta2 = adv.eta ** 2
+            step = g / (2 * math.pi * f) / eta2
             g_err = 2 * math.pi * max_norm(adv) * err
-            bound = (g_err + np.abs(g) * err / (abs(f) - err)) / (2 * math.pi * abs(f))
+            bound = (g_err + np.abs(g) * err / (abs(f) - err)) / (2 * math.pi * abs(f)) / eta2
             bound += 2 * U * (np.abs(t) + np.abs(step))
             assert np.all(np.abs(stepped[k] - (t + step)) <= bound)
 
@@ -273,7 +277,8 @@ def large_coefficient_advice(count):
     ones = np.tril(np.ones((n, n), dtype=np.int64))
     u = ones @ ones.T
     adv = generate_advice(integer_identity(n), 1e-3, count, seed=14)
-    return GaussianAdvice(LatticeBasis(u.tolist()), adv.coeffs @ u.T, adv.eps, adv.seed)
+    return GaussianAdvice(LatticeBasis(u.tolist()), adv.coeffs @ u.T, adv.eps, adv.seed,
+                          adv.eta)
 
 
 LARGE = {count: large_coefficient_advice(count) for count in (_TILE_COLS + 1, 2 * _TILE_COLS + 123)}
@@ -294,9 +299,9 @@ def test_kernel_tracks_the_reference_at_large_coefficient_sums(count, n_rows):
 @pytest.mark.parametrize("big", [2 ** 53 + 1, -(2 ** 53) - 1, -(2 ** 63), 2 ** 63, 2 ** 64])
 def test_coefficients_beyond_2_53_are_rejected(big):
     basis = integer_identity(2)
-    GaussianAdvice(basis, [[1, 0], [0, -(2 ** 53)]], 1e-3, 0)
+    GaussianAdvice(basis, [[1, 0], [0, -(2 ** 53)]], 1e-3, 0, 1.0)
     with pytest.raises(ValueError, match="2\\^53"):
-        GaussianAdvice(basis, [[1, 0], [0, big]], 1e-3, 0)
+        GaussianAdvice(basis, [[1, 0], [0, big]], 1e-3, 0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, 1e-300, math.nan, math.inf, -math.inf,
@@ -304,12 +309,12 @@ def test_coefficients_beyond_2_53_are_rejected(big):
 def test_non_integer_coefficients_are_rejected(bad):
     # the draw (0, 1.5) must not be read as (0, 1)
     with pytest.raises(ValueError, match="integers"):
-        GaussianAdvice(integer_identity(2), [[1, 0], [0, bad]], 1e-3, 0)
+        GaussianAdvice(integer_identity(2), [[1, 0], [0, bad]], 1e-3, 0, 1.0)
 
 
 @pytest.mark.parametrize("ok", [2.0, -(2.0 ** 53), Fraction(4, 2), np.int32(-3), True])
 def test_integral_coefficients_of_any_type_are_accepted(ok):
-    adv = GaussianAdvice(integer_identity(2), [[1, 0], [0, ok]], 1e-3, 0)
+    adv = GaussianAdvice(integer_identity(2), [[1, 0], [0, ok]], 1e-3, 0, 1.0)
     assert adv.coeffs.dtype == np.int64
     assert adv.coeffs[1, 1] == ok
 
@@ -318,7 +323,7 @@ def test_a_coefficient_float32_cannot_hold_trips_every_guard():
     # 2^24 + 1 rounds in float32, and no phase scale keeps the phase
     # numerators within 2^24, so kernel_err exceeds 2: f_batch stays
     # within it of f, and no row clears the guard, not even a lattice point
-    adv = GaussianAdvice(integer_identity(2), [[2 ** 24 + 1, 0], [1, 3]], 1e-3, 0)
+    adv = GaussianAdvice(integer_identity(2), [[2 ** 24 + 1, 0], [1, 3]], 1e-3, 0, 1.0)
     assert adv._phase_exp <= 0
     rng = np.random.default_rng(24)
     ts = np.vstack([np.zeros(2), 0.3 * rng.normal(size=(20, 2)),
@@ -336,7 +341,7 @@ def test_kernel_err_covers_the_float32_rounding_of_a_large_phase():
     # one draw with coefficient 1000 has phases up to 1000 pi, where rounding
     # them to multiples of 2^-q moves cos far more than the trig charge; the
     # S * 2^-(q + 1) term of kernel_err is what covers it
-    adv = GaussianAdvice(integer_identity(1), [[1000]], 1e-3, 0)
+    adv = GaussianAdvice(integer_identity(1), [[1000]], 1e-3, 0, 1.0)
     ts = np.linspace(0.1, 0.4, 3001)[:, None]
     gap = np.abs(adv.f_batch(ts) - [adv.f(t) for t in ts])
     assert np.all(gap <= adv.kernel_err(ts))

@@ -89,12 +89,21 @@ def test_malformed_targets_exit_with_status_2(tmp_path, capsys, target):
 
 
 def test_a_target_past_float64_exits_decode_with_status_2(tmp_path, capsys):
-    # 1e400 is exact, but the decoder's ascent has no float64 value for it
+    # 1e400 is exact, but the decoder's ascent has no float64 value for it,
+    # and no positive one for an advice scale of 1e400 or 1e-400 either
     adv = tmp_path / "dec.txt"
     BddDecoder(1e-3, n_advice=500, seed=4).fit(random_dual_orthogonal(2, seed=4)).save(adv)
     code, stdout, stderr = run(capsys, "decode", "--advice", str(adv), "--target", "1e400,0")
     assert code == 2 and stdout == ""
     assert stderr.startswith("error:") and "finite" in stderr
+    lines = adv.read_text().splitlines()
+    for scale in ("1e400", "1e-400"):
+        # the advice header "advice count eps seed scale" follows a rank-2 basis
+        lines[4] = " ".join(lines[4].split()[:4] + [scale])
+        adv.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(capsys, "decode", "--advice", str(adv), "--target", "0.02 0.01")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and "finite" in stderr
 
 
 @pytest.mark.parametrize("budget", ("5", "0", "1e7"))

@@ -28,7 +28,7 @@ from latgauss.decoder import (
     decoding_radius,
     iteration_count,
 )
-from latgauss.advice import GaussianAdvice
+from latgauss.advice import GaussianAdvice, generate_advice
 from latgauss.cli import main
 from latgauss.enumeration import closest_vector, lambda1
 from latgauss.generators import (
@@ -219,10 +219,20 @@ def test_load_restores_every_fitted_attribute(tmp_path):
     def fitted_state(d):
         state = {k: v for k, v in vars(d).items() if k.endswith("_")}
         a = state.pop("advice_")
-        state["advice_"] = (a.basis, a.coeffs.shape, a.coeffs.tobytes(), a.eps, a.seed)
+        state["advice_"] = (a.basis, a.coeffs.shape, a.coeffs.tobytes(), a.eps, a.seed, a.eta)
         return state
 
     assert fitted_state(back) == fitted_state(dec)
+
+
+def test_fit_draws_the_advice_of_generate_advice():
+    # one way to draw advice: fit's draws and width are generate_advice's on
+    # the input lattice
+    basis, dec = fitted(n=3, seed=7, n_advice=1200)
+    adv = generate_advice(basis, 1e-3, 1200, seed=7)
+    assert dec.advice_.basis == basis
+    assert np.array_equal(dec.advice_.coeffs, adv.coeffs)
+    assert dec.advice_.eta == adv.eta
 
 
 def test_load_rejects_a_corrupted_frame(tmp_path):
@@ -337,7 +347,7 @@ def test_load_rejects_a_frame_outside_the_span(tmp_path):
 
 def test_frame_indices_skip_a_short_dependent_draw():
     # every draw is short; the second is minus the first
-    advice = GaussianAdvice(integer_identity(2), [[1, 0], [-1, 0], [0, 1]], 1e-3, 0)
+    advice = GaussianAdvice(integer_identity(2), [[1, 0], [-1, 0], [0, 1]], 1e-3, 0, 1.0)
     assert _frame_indices(advice) == [0, 2]
 
 
@@ -345,7 +355,7 @@ def test_frame_indices_search_past_the_first_prescreen_chunk():
     # a long draw, then 2,000 copies of one short draw, then the draw that
     # completes the frame: the prescreen has to reach its second chunk
     rows = [[3, 0]] + [[1, 0]] * 2000 + [[0, -1]]
-    advice = GaussianAdvice(integer_identity(2), rows, 1e-3, 0)
+    advice = GaussianAdvice(integer_identity(2), rows, 1e-3, 0, 1.0)
     assert _frame_indices(advice) == [1, 2001]
 
 

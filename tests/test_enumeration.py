@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from latgauss.enumeration import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     _budget,
+    _exact_sqdists,
     _points_within,
     closest_vector,
     complete_to_unimodular,
@@ -239,6 +241,22 @@ def test_exact_search_scores_in_big_integers():
         assert ball_coeff_set(ball) == expect
         for i in range(len(ball)):
             assert ball.exact_sqdist(i) == sqdist(basis.vector(ball.coeffs[i]), target)
+
+
+@pytest.mark.parametrize("g", [2**31 + 11, 3**40, 2**70])
+@pytest.mark.parametrize("size", [5, 3 * 10**9])
+def test_scoring_divides_out_a_common_factor(g, size):
+    # rows and centre times g overflow int64 and score g^2 times the
+    # unscaled integers, whether the quotients then fit int64 (size 5) or
+    # not (size 3e9)
+    rng = random.Random(g + size)
+    rows = [[rng.randint(-size, size) for _ in range(4)] for _ in range(3)]
+    center = [rng.randint(-size, size) for _ in range(4)]
+    coeffs = np.array([[rng.randint(-9, 9) for _ in range(3)] for _ in range(50)])
+    plain = _exact_sqdists(coeffs, rows, center)
+    scaled = _exact_sqdists(coeffs, [[g * v for v in r] for r in rows], [g * v for v in center])
+    assert scaled.dtype == object
+    assert scaled.tolist() == [g * g * int(x) for x in plain]
 
 
 @pytest.mark.parametrize("scale", [10**10, 10**14, 10**20])

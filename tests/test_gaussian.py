@@ -126,6 +126,10 @@ def test_fourier_evaluator_basics():
     vals = pg.f_batch(np.vstack([t, t + shift, [0.0, 0.0]]))
     assert vals[0] == pytest.approx(pg.f(t), abs=1e-12)
     assert vals[2] == pytest.approx(1.0, abs=pg.f_err + 1e-12)
+    # rows with a NaN or inf entry, or of the wrong width, are refused as f refuses them
+    for bad in ([[np.nan, 0.0]], [[0.0, np.inf]], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            pg.f_batch(np.array(bad))
 
 
 def test_periodic_density_dominates_the_point_gaussian():
