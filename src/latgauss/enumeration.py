@@ -155,6 +155,7 @@ def _fits_int64(coeffs, rows_int, center_int):
 
 
 def _int64_sqdists(coeffs, rows_int, center_int):
+    """Squared distances in int64, for arguments that pass _fits_int64."""
     k, n = coeffs.shape
     m = len(center_int)
     b_arr = np.array(rows_int, dtype=np.int64).reshape(n, m)
@@ -183,8 +184,8 @@ def _exact_sqdists(coeffs, rows_int, center_int):
         center_int = tuple(v // g for v in center_int)
         if _fits_int64(coeffs, rows_int, center_int):
             return _int64_sqdists(coeffs, rows_int, center_int).astype(object) * (g * g)
-    n, m = coeffs.shape[1], len(center_int)
     # big-integer fallback
+    n, m = coeffs.shape[1], len(center_int)
     out = []
     cols = list(zip(*rows_int)) if n else [()] * m
     for row in coeffs.tolist():
