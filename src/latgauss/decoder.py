@@ -14,6 +14,7 @@ all exact. It is the only file format for advice.
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._estimator import ParamMixin
 from ._validation import check_count, check_eps, parse_fraction
-from .advice import GaussianAdvice, advice_count, generate_advice
+from .advice import GaussianAdvice, _mapped_empty, advice_count, generate_advice
 from .enumeration import _float_points
 from .gaussian import decoding_width, smoothing_parameter
 from .lattice import LatticeBasis, format_basis, parse_basis, sqnorm
@@ -151,22 +152,22 @@ def _frame_indices(advice):
 
 # rows of the advice block formatted per numpy pass; at rank 8 the
 # temporaries stay near 256 KB whatever the advice count (a 221,049-row
-# block wrote in 0.10 s at 4,096 rows a chunk and 0.16 s at 16,384)
+# block wrote in 0.035 s at 4,096 rows a chunk and 0.032 s at 16,384)
 _WRITE_CHUNK_ROWS = 4096
-
-# 10, 100, ..., 10**19: a magnitude's digit count is one more than the
-# number of these it reaches
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-
 
 def _write_rows(fh, coeffs):
     """Write an int64 array one space-separated row per line.
 
     The bytes equal " ".join(map(str, row)) + "\\n" per row. Each chunk lays
     out its tokens (sign, digits, then a space or, after the last column, a
-    newline) from the cumulative token lengths and fills the digits right to
-    left. Magnitudes are read in uint64, where the wrapped abs(-2**63) is
-    2**63.
+    newline) from the cumulative token lengths. Pass k, from the chunk's
+    longest digit count down to 0, writes the byte k places before every
+    token's last digit: its k-th digit from the right, its minus sign or a
+    space. Where tokens overlap, the nearest token after the byte writes it
+    last, at the smallest k, so every byte ends as its own token's;
+    newlines go in after the passes. Magnitudes are read in uint64, where
+    the wrapped abs(-2**63) is 2**63, then narrowed to the smallest
+    unsigned type that holds the chunk's largest.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     width = coeffs.shape[1]
@@ -174,22 +175,164 @@ def _write_rows(fh, coeffs):
         chunk = coeffs[lo:lo + _WRITE_CHUNK_ROWS].ravel()
         neg = chunk < 0
         mag = np.abs(chunk).view(np.uint64)
-        digits = np.ones(chunk.shape, dtype=np.int64)
-        for p in _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max()]:
-            digits += mag >= p
-        ends = np.cumsum(digits + neg + 1)
-        buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
-        buf[ends[width - 1::width] - 1] = ord("\n")
-        pos = ends - 2
-        buf[(pos - digits)[neg]] = ord("-")
-        while True:
-            quot = mag // 10
-            buf[pos] = mag - quot * 10 + ord("0")
-            more = np.flatnonzero(quot)
-            if not more.size:
-                break
-            pos, mag = pos[more] - 1, quot[more]
-        fh.write(buf.tobytes().decode("ascii"))
+        top = int(mag.max())
+        most = len(str(top))
+        mag = mag.astype(np.min_scalar_type(top))
+        digits = np.ones(chunk.shape, dtype=np.uint8)
+        for k in range(1, most):
+            digits += mag >= 10 ** k
+        ends = np.cumsum((digits + neg + 1).astype(np.intp))
+        # byte pad + ends[i] - 2 - k is k places before token i's last digit
+        pad = most + 2
+        buf = np.full(pad + int(ends[-1]), ord(" "), dtype=np.uint8)
+        for k in range(most, -1, -1):
+            byte = (neg & (digits == k)).view(np.uint8) * np.uint8(ord("-") - ord(" "))
+            if k < most:
+                # q - q // 10 * 10 runs faster in numpy than q % 10
+                q = mag // 10 ** k
+                digit = (q - q // 10 * 10).astype(np.uint8)
+                byte += (digits > k) * (digit + np.uint8(ord("0") - ord(" ")))
+            byte += np.uint8(ord(" "))
+            buf[pad - 2 - k:][ends] = byte
+        buf[pad - 1:][ends[width - 1::width]] = ord("\n")
+        fh.write(buf[pad:].tobytes().decode("ascii"))
+
+
+# characters of the file asked for per read after the advice header; a
+# chunk's parse temporaries stay within a few MB whatever the advice count
+_READ_CHUNK_CHARS = 1 << 18
+
+# the longest token _write_rows writes: a sign and 19 digits
+_MAX_TOKEN_CHARS = 20
+
+# a token exactly as str writes an integer
+_TOKEN = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _row_fault(line, width):
+    """Why the line is not a row of width integers as _write_rows writes
+    them, or None when it is one."""
+    tokens = line.split(" ")
+    if len(tokens) != width:
+        return f"holds {len(tokens)} space-separated fields, not {width}"
+    for tok in tokens:
+        if not _TOKEN.fullmatch(tok):
+            return f"holds {tok!r}, which is not an integer as str writes it"
+        if len(tok) > _MAX_TOKEN_CHARS or not -2**63 <= int(tok) < 2**63:
+            return f"holds {tok}, which int64 does not hold"
+    return None
+
+
+def _parse_rows(text, lines, width):
+    """The rows of the uint8 text, lines whole lines after _MAX_TOKEN_CHARS
+    leading newlines, or None unless each line is exactly as _write_rows
+    writes a row of width integers.
+
+    A line must be width tokens, each 0 or -?[1-9][0-9]* within int64, with
+    a single space after each but the last and a newline after that. The
+    k-th byte back from every token's end is gathered in one pass over the
+    separator positions, and the digit runs and the minus signs before them
+    must fill every token. The digits add up in the narrowest integer type
+    that the longest run allows.
+    """
+    pad = _MAX_TOKEN_CHARS
+    body = text[pad:]
+    sep = np.flatnonzero(body <= ord(" "))
+    if sep.size != lines * width or np.count_nonzero(body == ord(" ")) != sep.size - lines:
+        return None
+    if (body[sep[width - 1::width]] != ord("\n")).any():
+        return None
+    # a 0 after a minus sign, or a 0 after a separator and before a digit
+    zero, before, after = body[:-1] == ord("0"), text[pad - 1:-2], body[1:] - ord("0")
+    if (zero & ((before == ord("-")) | ((before <= ord(" ")) & (after <= 9)))).any():
+        return None
+    run = np.ones(sep.size, dtype=bool)
+    neg = np.zeros(sep.size, dtype=bool)
+    digits, covered = [], sep.size
+    while covered < body.size and len(digits) < pad:
+        back = text[pad - 1 - len(digits):][sep]
+        sign = run & (back == ord("-"))
+        back -= ord("0")
+        run &= back <= 9
+        found = np.count_nonzero(run)
+        if not digits and found < sep.size:
+            return None
+        neg |= sign
+        covered += found + np.count_nonzero(sign)
+        if not found:
+            break
+        digits.append(back * run)
+    if covered != body.size or len(digits) in (0, pad):
+        return None
+    most = len(digits)
+    kind = np.int8 if most <= 2 else np.int16 if most <= 4 else np.int32 if most <= 9 else np.uint64
+    mag = digits[0].astype(kind)
+    for k, d in enumerate(digits[1:], 1):
+        mag += d.astype(kind) * kind(10 ** k)
+    if kind is np.uint64:
+        if (mag - neg > np.uint64(2**63 - 1)).any():
+            return None
+        mag = mag.view(np.int64)
+    mag *= 1 - 2 * neg.view(np.int8)
+    return mag.reshape(lines, width)
+
+
+def _read_rows(fh, count, width):
+    """(rows, rest): the next count lines of the text file fh as an int64
+    count x width array, and the text of the last chunk read past them.
+
+    The exact inverse of _write_rows: a line is accepted only as
+    _write_rows writes it (see _parse_rows), and anything else raises
+    ValueError naming the row. The file is read _READ_CHUNK_CHARS at a time
+    and each chunk's whole lines are parsed in numpy passes; a chunk's rows
+    are kept in the narrowest integer type their digit counts allow, so the
+    result, on a map of its own (see _mapped_empty), is the one full-size
+    array. Nothing is sized by count, and the end of the file is reached at
+    most once, when the block is short.
+    """
+    pad = b"\n" * _MAX_TOKEN_CHARS
+    parts, got, head = [], 0, b""
+    while got < count:
+        chunk = fh.read(_READ_CHUNK_CHARS)
+        if not chunk:
+            raise ValueError(f"the advice block ends after {got} of its {count} rows")
+        data = head + chunk.encode("ascii")
+        text = np.frombuffer(pad + data, dtype=np.uint8)
+        newline = text[len(pad):] == ord("\n")
+        lines = np.count_nonzero(newline)
+        if not lines:
+            if len(data) > width * (_MAX_TOKEN_CHARS + 1):
+                raise ValueError(f"advice row {got} is longer than {width} int64 tokens")
+            head = data
+            continue
+        if lines > count - got:
+            lines = count - got
+            stop = int(np.flatnonzero(newline)[lines - 1]) + 1
+        else:
+            stop = data.rindex(b"\n") + 1
+        rows = _parse_rows(text[:len(pad) + stop], lines, width)
+        if rows is None:
+            block = data[:stop].decode("ascii").split("\n")[:-1]
+            i, fault = next((i, f) for i, f in enumerate(_row_fault(x, width) for x in block) if f)
+            raise ValueError(f"advice row {got + i} {fault}")
+        parts.append(rows)
+        got += lines
+        head = data[stop:]
+    rows = _mapped_empty((got, width), np.int64)
+    return np.concatenate(parts, out=rows), head.decode("ascii")
+
+
+def _lines(rest, fh):
+    """The lines of rest followed by those of the rest of fh, read
+    _READ_CHUNK_CHARS at a time, without their newlines."""
+    while True:
+        text = fh.read(_READ_CHUNK_CHARS)
+        *lines, rest = (rest + text).split("\n")
+        yield from lines
+        if not text:
+            if rest:
+                yield rest
+            return
 
 
 class BddDecoder(ParamMixin):
@@ -354,10 +497,12 @@ class BddDecoder(ParamMixin):
     def load(cls, path):
         """Rebuild a fitted decoder from save output.
 
-        The file is read line by line, and the advice block is parsed straight
-        from the open file, so neither the file's text nor a list of its lines
-        is ever held. The stored frame is verified against the advice rows it
-        references (see _set_state).
+        The header lines are read one at a time and the rest of the file in
+        chunks of _READ_CHUNK_CHARS characters, so neither the file's text nor
+        a list of its lines is ever held. The advice block must be exactly as
+        save writes it (see _read_rows), with LF or CRLF line ends. The stored
+        frame is verified against the advice rows it references (see
+        _set_state).
         """
         with open(path, encoding="ascii") as fh:
             if fh.readline().split() != ["latgauss-decoder", "1"]:
@@ -374,26 +519,16 @@ class BddDecoder(ParamMixin):
                 raise ValueError("decoder file is missing its advice header")
             count, eps, seed = check_count("advice count", int(head[1])), float(head[2]), int(head[3])
             scale = parse_fraction(head[4])
-            # loadtxt skips blank lines, so a blank line among the count lines
-            # leaves the block short; a blank first line is refused here, as
-            # loadtxt only warns about a block with no rows at all
-            first = fh.readline()
-            if not first.strip():
-                raise ValueError("decoder file has no advice row after its advice header")
-            coeffs = np.loadtxt(itertools.chain((first,), itertools.islice(fh, count - 1)),
-                                dtype=np.int64, ndmin=2, comments=None)
-            if coeffs.shape != (count, n):
-                raise ValueError(
-                    f"expected {count} advice rows of {n} integers, got shape {coeffs.shape}"
-                )
-            head = fh.readline().split()
+            coeffs, rest = _read_rows(fh, count, n)
+            lines = _lines(rest, fh)
+            head = next(lines, "").split()
             if len(head) != 1 + n or head[0] != "frame":
                 raise ValueError("decoder file is missing its frame section")
             idx = [int(t) for t in head[1:]]
             if not all(0 <= i < count for i in idx):
                 raise ValueError(f"frame indices must lie in [0, {count})")
-            rows = list(itertools.islice(fh, n))
-            if len(rows) < n or any(line.strip() for line in fh):
+            rows = list(itertools.islice(lines, n))
+            if len(rows) < n or any(line.strip() for line in lines):
                 raise ValueError(f"decoder file must end with {n} frame rows")
         frame_rows = [[parse_fraction(t) for t in line.split()] for line in rows]
         dec = cls(eps=eps, n_advice=count, seed=seed)

@@ -112,20 +112,29 @@ class _Frame:
             tuple(det // g ** (2 * i + 2) for i, det in enumerate(dets)),
         )
 
+    # the frame and row whose float mu table, scaled, is this frame's; set
+    # by scale_row and cleared once the table is derived
+    _mu_parent = None
+
     def scale_row(self, i, c):
         """The frame with row i multiplied by the positive integer c.
 
         r*_i gains c and no other r*_j changes, so W_i gains c, and each
-        later W_j and every D_j from i on gain c^2.
+        later W_j and every D_j from i on gain c^2. For c a power of two the
+        new frame derives its float_mu from this frame's, so the frames
+        scaled from one parent share one table build.
         """
         c2 = c * c
-        return _Frame._lowest_terms(
+        f = _Frame._lowest_terms(
             self.d,
             self.rows[:i] + (tuple(c * x for x in self.rows[i]),) + self.rows[i + 1:],
             self.w[:i] + (tuple(c * x for x in self.w[i]),)
             + tuple(tuple(c2 * x for x in v) for v in self.w[i + 1:]),
             self.dets[:i] + tuple(c2 * det for det in self.dets[i:]),
         )
+        if c & (c - 1) == 0 and c <= 2 ** 64:
+            f._mu_parent = (self, i, c)
+        return f
 
     def project_tail(self, k, stop):
         """The frame of rows k..stop-1 projected away from rows 0..k-1.
@@ -190,7 +199,25 @@ class _Frame:
 
     @cached_property
     def float_mu(self):
-        """Float mu transposed: row i holds mu_ji for j > i (zero elsewhere)."""
+        """Float mu transposed: row i holds mu_ji for j > i (zero elsewhere).
+
+        A frame from scale_row(i, c) scales its parent's table: mu_ij gains
+        c for j < i, mu_ji loses it for j > i, and the rest is unchanged.
+        The quotients are the same rationals however _lowest_terms writes
+        them, and scaling a correctly rounded float by a power of two gives
+        the correctly rounded scaled value while both stay well inside the
+        normal range, which the entries are checked for.
+        """
+        if self._mu_parent is not None:
+            parent, i, c = self._mu_parent
+            self._mu_parent = None
+            mu = [list(row) for row in parent.float_mu]
+            moved = [row[i] for row in mu[:i]] + mu[i][i + 1:]
+            if all(not x or 2.0 ** -900 <= abs(x) <= 2.0 ** 900 for x in moved):
+                for row in mu[:i]:
+                    row[i] *= c
+                mu[i][i + 1:] = [x / c for x in mu[i][i + 1:]]
+                return tuple(map(tuple, mu))
         n = len(self.w)
         return tuple(
             tuple(self.mu_num(j, i) / self.dets[i] if j > i else 0.0 for j in range(n))

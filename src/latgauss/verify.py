@@ -309,16 +309,24 @@ def _check_ascent_trace():
         f"first step halved ||t|| on {frac1:.2%}, later steps contracted on {frac2:.2%}")
 
 
-def _check_rounding_safety():
-    dec = _fit_small_decoder()
-    n = dec.basis_.rank
+def _rounding_probes(dec):
+    """(thr, targets): thr = 1/(2 max||v*||), in the target's units like the
+    trace, and 30 targets in random directions at up to 0.9 thr."""
     thr = 0.5 / max(math.sqrt(float(sqnorm(w))) for w in dec.vstar_.rows)
     rng = stream(38)
+    targets = []
+    for _ in range(30):
+        u = rng.normal(size=dec.basis_.rank)
+        targets.append(0.9 * thr * rng.random() * u / math.sqrt(float(u @ u)))
+    return thr, targets
+
+
+def _check_rounding_safety():
+    dec = _fit_small_decoder()
+    thr, targets = _rounding_probes(dec)
     ok = True
     hits = 0
-    for _ in range(30):
-        u = rng.normal(size=n)
-        t = 0.9 * thr / float(dec.scale_) * rng.random() * u / math.sqrt(float(u @ u))
+    for t in targets:
         res = dec.decode(t, trace=True)
         if res.trace and res.trace[-1][0] < thr:
             hits += 1

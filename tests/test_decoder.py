@@ -17,12 +17,15 @@ from hypothesis.extra import numpy as hnp
 
 from latgauss import decoder as decoder_module
 from latgauss.decoder import (
+    _READ_CHUNK_CHARS,
     _WRITE_CHUNK_ROWS,
     EXACT,
     GUARD,
     BddDecoder,
     FrameAbort,
     _frame_indices,
+    _read_rows,
+    _row_fault,
     _write_rows,
     bdd_param_plan,
     decoding_radius,
@@ -406,6 +409,7 @@ def test_save_load_save_is_identical_across_several_chunks(tmp_path):
 
 
 INT64_EDGES = (-2**63, 2**63 - 1, 0, 9, -9, 10, -10, 99, -99)
+INT64_VALUES = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-2**63, 2**63 - 1))
 
 
 @given(st.data())
@@ -413,8 +417,8 @@ def test_write_rows_matches_the_per_row_reference(data):
     width = data.draw(st.integers(1, 8))
     count = data.draw(st.sampled_from(
         (1, _WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1)))
-    value = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-2**63, 2**63 - 1))
-    rows = data.draw(hnp.arrays(np.int64, (count, width), elements=value, fill=value))
+    rows = data.draw(hnp.arrays(np.int64, (count, width), elements=INT64_VALUES,
+                                fill=INT64_VALUES))
     fh = io.StringIO()
     _write_rows(fh, rows)
     assert fh.getvalue() == "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
@@ -529,11 +533,13 @@ def test_load_rejects_trailing_rows(tmp_path):
 
 
 class _EofCountingFile:
-    """A text file that counts the reads it answers at the end of the file."""
+    """A text file that counts the reads it answers at the end of the file
+    and records the largest size a read asked for (inf for a whole read)."""
 
     def __init__(self, fh):
         self.fh = fh
         self.eof_reads = 0
+        self.largest_read = 0
 
     def __enter__(self):
         return self
@@ -555,15 +561,17 @@ class _EofCountingFile:
         self.eof_reads += not line
         return line
 
-    def read(self):
-        text = self.fh.read()
+    def read(self, size=-1):
+        self.largest_read = max(self.largest_read, math.inf if size is None or size < 0 else size)
+        text = self.fh.read(size)
         self.eof_reads += not text
         return text
 
 
 def _load_counting_eof_reads(monkeypatch, path):
-    """BddDecoder.load(path), which must open one file and reach its end at
-    most once."""
+    """BddDecoder.load(path), which must open one file, reach its end at
+    most once and ask for at most _READ_CHUNK_CHARS characters a read; the
+    counting file is returned."""
     opened = []
 
     def counting_open(*args, **kwargs):
@@ -572,9 +580,10 @@ def _load_counting_eof_reads(monkeypatch, path):
 
     monkeypatch.setattr(decoder_module, "open", counting_open, raising=False)
     try:
-        BddDecoder.load(path)
+        return BddDecoder.load(path), opened[0]
     finally:
         assert len(opened) == 1 and opened[0].eof_reads <= 1
+        assert opened[0].largest_read <= _READ_CHUNK_CHARS
 
 
 def _small_decoder_lines():
@@ -614,6 +623,107 @@ def test_load_rejects_a_size_past_the_file(tmp_path, monkeypatch, line, field, v
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         _load_counting_eof_reads(monkeypatch, path)
+
+
+def test_load_reads_a_long_block_in_bounded_requests(tmp_path, monkeypatch):
+    # Z^2 with the unit draws first, then an advice block three read chunks
+    # and a few rows long
+    row = "-12 345"
+    count = 3 * _READ_CHUNK_CHARS // (len(row) + 1) + 5
+    path = tmp_path / "decoder.txt"
+    write_decoder(path, ["2 2", "1 0", "0 1"], ["1 0", "0 1"] + [row] * (count - 2),
+                  ["frame 0 1", "1 0", "0 1"])
+    dec, fh = _load_counting_eof_reads(monkeypatch, path)
+    assert fh.eof_reads == 1 and fh.largest_read == _READ_CHUNK_CHARS
+    assert dec.advice_.coeffs.shape == (count, 2) and dec.advice_.coeffs.dtype == np.int64
+    assert (dec.advice_.coeffs[2:] == [-12, 345]).all()
+
+
+NON_CANONICAL_ROWS = [
+    "+1 2",                          # a plus sign
+    "01 2",                          # a leading zero
+    "-0 2",                          # a negative zero
+    "-01 2",                         # a leading zero after the sign
+    "1\t2",                          # a tab
+    "1  2",                          # a doubled space
+    "1 2 ",                          # a trailing space
+    " 1 2",                          # a leading space
+    "1",                             # a short row
+    "1 2 3",                         # a long row
+    "",                              # a blank line
+    "1 -",                           # a bare sign
+    "1 2-",                          # a sign after the digits
+    "1 --2",                         # two signs
+    "1.0 2",                         # a decimal point
+    "1e3 2",                         # an exponent
+    "9223372036854775808 0",         # 2^63, past int64
+    "-9223372036854775809 0",        # -2^63 - 1, past int64
+    "1 " + "9" * 40,                 # a long token
+]
+
+
+@pytest.mark.parametrize("row", NON_CANONICAL_ROWS)
+def test_load_rejects_a_non_canonical_advice_row(tmp_path, row):
+    # the third advice row of the small decoder file replaced; the error
+    # names it, counting from 0 as the frame indices do
+    lines, head, _ = _small_decoder_lines()
+    lines[head + 3] = row
+    path = tmp_path / "decoder.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="advice row 2 "):
+        BddDecoder.load(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["decode", "--advice", str(path), "--target", "0 0"])
+    assert code == 2 and err.getvalue().startswith("error:")
+
+
+@given(st.data())
+def test_read_rows_inverts_write_rows(data):
+    # the read chunk ends anywhere in the block or past it, so rows end on
+    # both sides of a chunk boundary, split across it or whole within it
+    width = data.draw(st.integers(1, 8))
+    count = data.draw(st.integers(1, 40))
+    rows = data.draw(hnp.arrays(np.int64, (count, width), elements=INT64_VALUES,
+                                fill=INT64_VALUES))
+    fh = io.StringIO()
+    _write_rows(fh, rows)
+    fh.write("frame 0\n")
+    text = fh.getvalue()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder_module, "_READ_CHUNK_CHARS", data.draw(st.integers(1, len(text) + 1)))
+        src = io.StringIO(text)
+        back, rest = _read_rows(src, count, width)
+        rest += src.read()
+    assert back.dtype == np.int64 and np.array_equal(back, rows)
+    assert rest == "frame 0\n"
+
+
+@st.composite
+def advice_lines(draw, width):
+    """A row as _write_rows writes it, or a short line of digits, signs,
+    spaces and tabs."""
+    return draw(st.one_of(
+        st.lists(INT64_VALUES, min_size=width, max_size=width).map(
+            lambda row: " ".join(map(str, row))),
+        st.text(st.sampled_from("0123456789-+ \t"), max_size=12),
+    ))
+
+
+@given(st.data())
+def test_read_rows_accepts_exactly_the_canonical_rows(data):
+    # the numpy passes agree with the per-row check: every line passes it and
+    # reads as its integers, or the error names the first line that fails it
+    width = data.draw(st.integers(1, 4))
+    lines = data.draw(st.lists(advice_lines(width), min_size=1, max_size=6))
+    faults = [i for i, line in enumerate(lines) if _row_fault(line, width)]
+    src = io.StringIO("\n".join(lines) + "\nframe 0\n")
+    if faults:
+        with pytest.raises(ValueError, match=f"advice row {faults[0]} "):
+            _read_rows(src, len(lines), width)
+        return
+    back, _ = _read_rows(src, len(lines), width)
+    assert back.tolist() == [[int(t) for t in line.split(" ")] for line in lines]
 
 
 def test_load_of_a_crlf_copy_gives_an_equal_decoder(tmp_path):

@@ -15,6 +15,7 @@ from latgauss.enumeration import _size_reduce, closest_vector, enumerate_ball
 from latgauss.generators import checkerboard, integer_identity, random_integer
 from latgauss.lattice import (
     LatticeBasis,
+    _Frame,
     _babai_prefix,
     _clear,
     _span_coefficients,
@@ -186,6 +187,25 @@ def test_derived_frames_divide_out_a_common_factor():
     doubled = LatticeBasis([[Fraction(1, 2), 0], [0, 1]])._frame.scale_row(0, 2)
     _assert_fresh(LatticeBasis._from_frame(doubled, 2), integer_identity(2))
     _assert_fresh(project_lattice(LatticeBasis([[2, 0], [1, 1]]), 1), LatticeBasis([[0, 1]]))
+
+
+@pytest.mark.parametrize("c", [2, 4])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scale_row_derives_the_float_mu_table_bit_for_bit(n, c, monkeypatch):
+    # a random basis, and the same with row 0 over c, whose scaled frame has
+    # the factor c divided back out of d by _lowest_terms
+    basis = random_integer(n, seed=60 + n)
+    over = LatticeBasis([[x / c for x in r] if j == 0 else r for j, r in enumerate(basis.rows)])
+    for parent in (basis, over):
+        parent._frame.float_mu
+        derived = [parent._frame.scale_row(i, c) for i in range(n)]
+        with monkeypatch.context() as m:
+            m.setattr(_Frame, "mu_num", None)
+            tables = [f.float_mu for f in derived]
+        for f, table in zip(derived, tables):
+            fresh = _Frame(f.d, f.rows, f.w, f.dets).float_mu
+            assert np.array(table).tobytes() == np.array(fresh).tobytes()
+    assert over._frame.scale_row(0, c).d < over._frame.d
 
 
 @given(rational_cases(), st.data())

@@ -1,8 +1,15 @@
 """The umbrella release gate: every module invariant passes at desk scale."""
 
+import numpy as np
 import pytest
 
-from latgauss.verify import _CHECKS, _check_frame_identity, verify_suite
+from latgauss.verify import (
+    _CHECKS,
+    _check_frame_identity,
+    _fit_small_decoder,
+    _rounding_probes,
+    verify_suite,
+)
 
 # the verdict names in report order; `latgauss verify` prints one line each
 VERDICT_NAMES = (
@@ -54,3 +61,11 @@ def test_verdict_lines_are_stable_and_named(suite):
     for v in suite:
         assert v.line().startswith(("PASS ", "FAIL "))
         assert v.name in v.line()
+
+
+def test_rounding_safety_probes_the_band_inside_its_threshold():
+    # the targets and the threshold are both in the target's units, so the
+    # probes reach past 0.8 thr and stay within 0.9 thr
+    thr, targets = _rounding_probes(_fit_small_decoder())
+    norms = [float(np.linalg.norm(t)) for t in targets]
+    assert 0.8 * thr < max(norms) <= 0.9 * thr
